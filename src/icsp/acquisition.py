@@ -9,7 +9,7 @@ on the engine's thread and must not call back into the engine.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .isets import Element, parse_element
 
@@ -24,7 +24,6 @@ class AcquisitionContext:
 
     requesting_var: "int | None" = None
     requesting_constraint: "str | None" = None
-    known_snapshot: set = field(default_factory=set)
     var_name: "str | None" = None
 
 

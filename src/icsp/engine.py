@@ -25,6 +25,7 @@ One engine instance is single-threaded; callers must serialize access.
 from __future__ import annotations
 
 from collections import deque
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .acquisition import AcquisitionContext, AcquisitionSource
@@ -44,9 +45,6 @@ _BY_PRESENT = "by_present"
 _BY_GRAPH = "by_graph"
 _NO_SUPPORT = "no_support"
 
-_POOL_ALL = (PairState.PRESENT, PairState.OBSERVED, PairState.CANDIDATE)
-_POOL_PRESENT = (PairState.PRESENT,)
-
 
 class Engine:
     def __init__(self):
@@ -63,6 +61,10 @@ class Engine:
         self._links: dict[int, list[int]] = {}
         self._sources: dict[int, AcquisitionSource] = {}
         self._search_depth = 0
+        # (constraint id, var id) -> {element: the support _revise last
+        # found for that pair, ordered as constraint.others(var id)}; a
+        # hint, sound to reuse while every value in it is present.
+        self._residues: dict = {}
 
     # ------------------------------------------------------------------
     # iset facade
@@ -194,7 +196,6 @@ class Engine:
         ctx = AcquisitionContext(
             requesting_var=requesting_var,
             requesting_constraint=requesting_constraint,
-            known_snapshot=self.isets.known(iset),
             var_name=var_name,
         )
         element = source.next(iset, ctx) if source is not None else None
@@ -285,92 +286,107 @@ class Engine:
                       constraint: FdConstraint) -> str:
         """Find a satisfying tuple for the pair under one constraint.
 
-        Tuples are enumerated position by position, each position's pool
-        ordered present, then observed, then candidates (insertion order
-        within a class). An all-present tuple needs no bookkeeping; any
-        other supporter is recorded with a reliance arc, and candidate
-        supporters are observed and fully checked before returning. When
-        no tuple exists, one element is acquired for the first other
-        variable with an open domain and the search restarts; with every
-        other domain closed the pair is unsupported.
+        An all-present tuple needs no bookkeeping; any other supporter is
+        recorded with a reliance arc, and candidate supporters are observed
+        and fully checked before returning. Without a tuple, even after
+        acquiring, the pair is unsupported.
+
+        Unlike _revise, this search takes no shortcut through a residue: an
+        all-present residue would be accepted where the enumeration order
+        reaches a tuple mixing present and observed values first (possible
+        from arity 3), and the reliance arcs and RELY entries would change.
         """
         pair = (var.id, element)
         self.graph.drop_support_arcs(pair, constraint.id)
+        others = constraint.others(var.id)
+        support = self._find_or_acquire(var, element, constraint, others)
+        if support is None:
+            return _NO_SUPPORT
+        supporters = [
+            (w, x) for w, x in zip(others, support)
+            if self.variables[w].state(x) is not PairState.PRESENT
+        ]
+        if not supporters:
+            return _BY_PRESENT
+        newly = []
+        for w, x in supporters:
+            wvar = self.variables[w]
+            if wvar.state(x) is PairState.CANDIDATE:
+                self._observe(wvar, x)
+                newly.append((w, x))
+            self.trace.append(
+                ("RELY", (var.name, element), (wvar.name, x), constraint.name)
+            )
+        self.graph.add_arcs(pair, constraint.id, supporters)
+        for w, x in newly:
+            if self.variables[w].state(x) is PairState.OBSERVED:
+                self._check_candidate(self.variables[w], x)
+        return _BY_GRAPH
+
+    def _find_or_acquire(self, var: FdVariable, element: Element,
+                         constraint: FdConstraint, others: tuple) -> "tuple | None":
+        """The first satisfying tuple over the known values of others, each
+        one's pool ordered present, then observed, then candidates
+        (insertion order within a class). When none exists, one element is
+        acquired for the first other variable with an open domain and the
+        search resumes; with every other domain closed there is none.
+
+        Resuming is exact: an acquisition only appends candidates to the
+        pools, so every tuple of old elements already failed, and the next
+        pass verifies only tuples holding a newly appended element (after
+        an exhausted reply, none). Its first success is the tuple a full
+        re-enumeration would reach first.
+        """
+        pools = self._pools(others, present_only=False)
+        fresh = None
         while True:
-            assignment = self._find_tuple(var, element, constraint, _POOL_ALL)
-            if assignment is not None:
-                supporters = [
-                    (w, x) for (w, x) in assignment
-                    if self.variables[w].state(x) is not PairState.PRESENT
-                ]
-                if not supporters:
-                    return _BY_PRESENT
-                newly = []
-                for w, x in supporters:
-                    wvar = self.variables[w]
-                    if wvar.state(x) is PairState.CANDIDATE:
-                        self._observe(wvar, x)
-                        newly.append((w, x))
-                    self.graph.add_arc(pair, (w, x), constraint.id)
-                    self.trace.append(
-                        ("RELY", (var.name, element), (wvar.name, x), constraint.name)
-                    )
-                for w, x in newly:
-                    if self.variables[w].state(x) is PairState.OBSERVED:
-                        self._check_candidate(self.variables[w], x)
-                return _BY_GRAPH
+            support = self._find_tuple(var, element, constraint, pools, fresh)
+            if support is not None:
+                return support
             target = None
-            for w in constraint.distinct_args():
-                if w == var.id:
-                    continue
+            for w in others:
                 wvar = self.variables[w]
                 if wvar.def_domain is not None and not self.isets.is_closed(wvar.def_domain):
                     target = wvar
                     break
             if target is None:
-                return _NO_SUPPORT
+                return None
             self.acquire(target.def_domain, requesting_var=target.id,
                          requesting_constraint=constraint.name)
+            grown = self._pools(others, present_only=False)
+            fresh = {x for pool, longer in zip(pools, grown) for x in longer[len(pool):]}
+            pools = grown
 
-    def _find_tuple(self, var: FdVariable, element: Element,
-                    constraint: FdConstraint, classes) -> "list | None":
-        """Depth-first search for a satisfying assignment of the other
-        variables, the pair's element fixed at every occurrence of its
-        variable. Returns [(var id, element)] per distinct other variable,
-        or None."""
-        others = [w for w in constraint.distinct_args() if w != var.id]
-        pools = {}
+    def _pools(self, others: tuple, *, present_only: bool) -> list:
+        """Each other variable's supporter pool: its present values, and
+        unless present_only its observed values and candidates after them."""
+        pools = []
         for w in others:
             wvar = self.variables[w]
-            if wvar.bound_to is not None:
+            if present_only or wvar.bound_to is not None:
                 # A bound variable may only support with its committed value.
-                pools[w] = list(wvar.present)
+                pools.append(list(wvar.present))
+            else:
+                pools.append([*wvar.present, *self.graph.observed_elements(w),
+                              *wvar.candidates])
+        return pools
+
+    def _find_tuple(self, var: FdVariable, element: Element,
+                    constraint: FdConstraint, pools: list,
+                    fresh: "set | None" = None) -> "tuple | None":
+        """First satisfying assignment of the other variables in
+        lexicographic order over their pools, the pair's element fixed at
+        every occurrence of its variable. Returns the elements ordered as
+        constraint.others(var.id), or None. With fresh given, only tuples
+        holding at least one of its elements are verified."""
+        if fresh is not None and not fresh:
+            return None
+        vid, verify, values = var.id, constraint.verify, constraint.values
+        for support in product(*pools):
+            if fresh is not None and fresh.isdisjoint(support):
                 continue
-            pool = []
-            if PairState.PRESENT in classes:
-                pool.extend(wvar.present)
-            if PairState.OBSERVED in classes:
-                pool.extend(self.graph.observed_elements(w))
-            if PairState.CANDIDATE in classes:
-                pool.extend(wvar.candidates)
-            pools[w] = pool
-        assignment: dict = {}
-
-        def extend(i: int) -> bool:
-            if i == len(others):
-                values = [element if a == var.id else assignment[a]
-                          for a in constraint.args]
-                return constraint.verify(values)
-            w = others[i]
-            for x in pools[w]:
-                assignment[w] = x
-                if extend(i + 1):
-                    return True
-            assignment.pop(w, None)
-            return False
-
-        if extend(0):
-            return [(w, assignment[w]) for w in others]
+            if verify(values(vid, element, support)):
+                return support
         return None
 
     def _remove_node(self, var: FdVariable, element: Element) -> None:
@@ -505,7 +521,13 @@ class Engine:
 
     def _revise(self, seeds: list) -> None:
         """Cascade removal of present values whose every present-tuple
-        support died when a search decision narrowed some variable."""
+        support died when a search decision narrowed some variable.
+
+        Each check first tries the pair's residue, the support it found
+        last time: while all of its values are still present it proves
+        the pair supported without a search. Residues need no undo when
+        search backtracks; a stale one fails the present test and the
+        search runs as before."""
         work = deque(v.id for v in seeds)
         while work:
             vid = work.popleft()
@@ -514,10 +536,26 @@ class Engine:
                     if w == vid:
                         continue
                     wvar = self.variables[w]
+                    others = constraint.others(w)
+                    states = [self.variables[u].states for u in others]
+                    residues = self._residues.setdefault((constraint.id, w), {})
+                    pools = None  # built once: removing w's values leaves them valid
                     for e in list(wvar.present):
-                        if self._find_tuple(wvar, e, constraint, _POOL_PRESENT) is None:
+                        residue = residues.get(e)
+                        if residue is not None:
+                            for state, x in zip(states, residue):
+                                if state.get(x) is not PairState.PRESENT:
+                                    break
+                            else:
+                                continue  # every value of the residue is present
+                        if pools is None:
+                            pools = self._pools(others, present_only=True)
+                        support = self._find_tuple(wvar, e, constraint, pools)
+                        if support is None:
                             self._search_remove_present(wvar, e)
                             work.append(w)
+                        else:
+                            residues[e] = support
 
     def _search_remove_present(self, var: FdVariable, element: Element) -> None:
         self._set_state(var, element, PairState.REMOVED)

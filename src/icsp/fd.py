@@ -80,9 +80,28 @@ class FdConstraint:
         self.name = name
         self.args = list(args)
         self.verifier = verifier
+        self._distinct = tuple(dict.fromkeys(self.args))
+        # Position in distinct_args() of each argument; None when no
+        # argument repeats, so a tuple over distinct_args() is the values.
+        self._spread = (None if len(self._distinct) == len(self.args)
+                        else tuple(map(self._distinct.index, self.args)))
 
-    def distinct_args(self) -> list:
-        return list(dict.fromkeys(self.args))
+    def distinct_args(self) -> tuple:
+        """The argument variables without repeats, in first-occurrence order."""
+        return self._distinct
+
+    def others(self, vid: int) -> tuple:
+        """distinct_args() without vid: the variables a support for one of
+        vid's values must assign."""
+        k = self._distinct.index(vid)
+        return self._distinct[:k] + self._distinct[k + 1:]
+
+    def values(self, vid: int, element: Element, others: tuple) -> Sequence:
+        """The ground tuple with element at every occurrence of vid and the
+        values in others (ordered as others(vid)) everywhere else."""
+        k = self._distinct.index(vid)
+        full = others[:k] + (element,) + others[k:]
+        return full if self._spread is None else [full[i] for i in self._spread]
 
     def verify(self, values: Sequence[Element]) -> bool:
         if len(values) != len(self.args):
@@ -101,39 +120,75 @@ class SupportGraph:
     An arc (p, q, c) records that p's satisfaction of constraint c depends
     on q. Supporters that are already present are never recorded: a present
     element is known to be supported, so losing nothing can invalidate it.
+
+    Arcs are indexed both ways, by supported pair and constraint and by
+    supporter, and observed elements are kept per variable, so re-seeking a
+    support, removing a node and building a supporter pool touch only the
+    entries concerned instead of scanning the whole graph. Both indexes are
+    insertion-ordered: dependents come back in the order their arcs were
+    recorded, which fixes the order of cascaded re-seeks.
     """
 
     def __init__(self):
-        self.nodes: dict = {}   # insertion-ordered set of (var id, element)
-        self.arcs: list = []    # (supported pair, supporter pair, constraint id)
+        self.nodes: dict = {}        # insertion-ordered set of (var id, element)
+        self._observed: dict = {}    # var id -> its observed elements, in order
+        self._supporters: dict = {}  # supported pair -> {cid: tuple of supporters}
+        self._dependents: dict = {}  # supporter -> ordered set of (supported pair, cid)
 
     def add_node(self, pair) -> None:
-        self.nodes[pair] = None
+        if pair not in self.nodes:
+            self.nodes[pair] = None
+            vid, element = pair
+            self._observed.setdefault(vid, []).append(element)
 
     def has_node(self, pair) -> bool:
         return pair in self.nodes
 
     def observed_elements(self, vid: int) -> list:
-        return [e for (v, e) in self.nodes if v == vid]
+        return list(self._observed.get(vid, ()))
 
-    def add_arc(self, supported, supporter, cid: int) -> None:
-        self.arcs.append((supported, supporter, cid))
+    @property
+    def arcs(self) -> list:
+        """Every arc as (supported pair, supporter pair, constraint id)."""
+        return [(p, q, cid) for p, by_cid in self._supporters.items()
+                for cid, supporters in by_cid.items() for q in supporters]
+
+    def add_arcs(self, supported, cid: int, supporters) -> None:
+        """Record that `supported` relies on each of `supporters` for cid."""
+        supporters = tuple(supporters)
+        self._supporters.setdefault(supported, {})[cid] = supporters
+        for supporter in supporters:
+            self._dependents.setdefault(supporter, {})[(supported, cid)] = None
 
     def drop_support_arcs(self, supported, cid: int) -> None:
         """Forget which supporters `supported` used for constraint cid."""
-        self.arcs = [a for a in self.arcs if not (a[0] == supported and a[2] == cid)]
+        by_cid = self._supporters.get(supported)
+        if by_cid is None:
+            return
+        for supporter in by_cid.pop(cid, ()):
+            del self._dependents[supporter][(supported, cid)]
 
     def dependents(self, supporter) -> list:
         """Pairs (dependent pair, constraint id) that rely on `supporter`."""
-        return list(dict.fromkeys((a[0], a[2]) for a in self.arcs if a[1] == supporter))
+        return list(self._dependents.get(supporter, ()))
 
     def remove_node(self, pair) -> None:
-        self.nodes.pop(pair, None)
-        self.arcs = [a for a in self.arcs if a[0] != pair and a[1] != pair]
+        if pair in self.nodes:
+            del self.nodes[pair]
+            vid, element = pair
+            self._observed[vid].remove(element)
+        for cid, supporters in self._supporters.pop(pair, {}).items():
+            for supporter in supporters:
+                del self._dependents[supporter][(pair, cid)]
+        for supported, cid in self._dependents.pop(pair, ()):
+            by_cid = self._supporters[supported]
+            by_cid[cid] = tuple(q for q in by_cid[cid] if q != pair)
 
     def clear(self) -> None:
         self.nodes.clear()
-        self.arcs.clear()
+        self._observed.clear()
+        self._supporters.clear()
+        self._dependents.clear()
 
 
 # ----------------------------------------------------------------------

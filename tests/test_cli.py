@@ -1,12 +1,15 @@
 """Problem-file parsing, the runner's output contract, and exit codes."""
 
 import io
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import icsp
 from icsp.cli import ProblemError, main, parse, run
 
 GOLDEN_PROBLEM = """\
@@ -246,9 +249,13 @@ def test_module_entry_point_interactive_stdin(tmp_path):
         "iset d open {}\nvar v :: d\nfdc eq v v\nsource d interactive\n",
         encoding="utf-8",
     )
+    # the child imports the same icsp as this process, however it was found
+    src = str(Path(icsp.__file__).resolve().parent.parent)
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "icsp", str(path)],
         input="7\n", capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path_var),
     )
     assert proc.returncode == 0
     assert "DOMAIN v present=[7] removed=[]" in proc.stdout
