@@ -284,9 +284,6 @@ def main(argv=None) -> int:
                         help="emit one line per propagation event")
     parser.add_argument("--label", action="store_true",
                         help="search for a total assignment after propagation")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved for randomized sources; the bundled "
-                             "sources are deterministic")
     args = parser.parse_args(argv)
     try:
         text = Path(args.problem).read_text(encoding="utf-8")

@@ -41,9 +41,7 @@ from .fd import (
 )
 from .isets import Element, IsetConstraint, IsetStore
 
-_BY_PRESENT = "by_present"
-_BY_GRAPH = "by_graph"
-_NO_SUPPORT = "no_support"
+_SEARCH_ALLOWED = ALLOWED_TRANSITIONS | SEARCH_TRANSITIONS
 
 
 class Engine:
@@ -163,11 +161,8 @@ class Engine:
         self._enqueue(var, element)
 
     def _enqueue(self, var: FdVariable, element: Element) -> None:
-        if var.state(element) is not PairState.UNKNOWN:
-            return
-        self._set_state(var, element, PairState.CANDIDATE)
-        var.candidates.append(element)
-        self.trace.append(("CANDIDATE", var.name, element))
+        if var.state(element) is PairState.UNKNOWN:
+            self._move(var, element, PairState.CANDIDATE)
 
     # ------------------------------------------------------------------
     # acquisition
@@ -233,8 +228,15 @@ class Engine:
         a variable with an empty present list and an open definition domain
         gets one element acquired. Quiescence with an empty present list
         over a closed definition domain is a wipe-out.
+
+        Pairs still observed on entry belong to a check that an exception
+        interrupted: they are checked again from the start and flushed
+        before any candidate is taken up.
         """
         self.propagate_isets()
+        for vid, element in list(self.graph.nodes):
+            self._check_candidate(self.variables[vid], element)
+        self._flush_graph()
         while True:
             var = next((v for v in self.variables if v.candidates), None)
             if var is not None:
@@ -242,22 +244,15 @@ class Engine:
                 if var.bound_to is not None:
                     # A search decision already fixed this variable; late
                     # arrivals contradict it and are discarded as removed.
-                    var.candidates.popleft()
-                    self._set_state(var, element, PairState.REMOVED)
-                    var.removed.append(element)
-                    self.trace.append(("REMOVE", var.name, element))
+                    self._move(var, element, PairState.REMOVED)
                     continue
-                self._observe(var, element)
+                self._move(var, element, PairState.OBSERVED)
                 self._check_candidate(var, element)
                 self._flush_graph()
                 continue
-            needy = next(
-                (v for v in self.variables
-                 if not v.present and v.bound_to is None
-                 and v.def_domain is not None
-                 and not self.isets.is_closed(v.def_domain)),
-                None,
-            )
+            needy = next((v for v in self.variables
+                          if not v.present and v.bound_to is None and self._open(v)),
+                         None)
             if needy is not None:
                 self.acquire(needy.def_domain, requesting_var=needy.id)
                 continue
@@ -266,62 +261,60 @@ class Engine:
                     continue
                 if v.bound_to is not None:
                     raise Inconsistency(f"search value for {v.name} was eliminated")
-                if v.def_domain is not None and self.isets.is_closed(v.def_domain):
+                if v.def_domain is not None:  # closed, or v would be needy
                     raise Inconsistency(f"domain wipe-out for {v.name}")
             return
 
-    def _check_candidate(self, var: FdVariable, element: Element) -> bool:
+    def _open(self, var: FdVariable) -> bool:
+        """Whether the variable's definition domain can still grow."""
+        return var.def_domain is not None and not self.isets.is_closed(var.def_domain)
+
+    def _check_candidate(self, var: FdVariable, element: Element) -> None:
         """Seek support for an observed pair against every constraint on its
         variable. Cascades triggered while checking one constraint may
         remove the pair itself; the state guard detects that."""
         for constraint in self._constraints_on.get(var.id, ()):
             if var.state(element) is not PairState.OBSERVED:
-                return False
-            if self._seek_support(var, element, constraint) == _NO_SUPPORT:
+                return
+            if not self._seek_support(var, element, constraint):
                 self._remove_node(var, element)
-                return False
-        return var.state(element) is PairState.OBSERVED
+                return
 
     def _seek_support(self, var: FdVariable, element: Element,
-                      constraint: FdConstraint) -> str:
+                      constraint: FdConstraint) -> bool:
         """Find a satisfying tuple for the pair under one constraint.
 
         An all-present tuple needs no bookkeeping; any other supporter is
         recorded with a reliance arc, and candidate supporters are observed
         and fully checked before returning. Without a tuple, even after
-        acquiring, the pair is unsupported.
+        acquiring, the pair is unsupported and False is returned.
 
         Unlike _revise, this search takes no shortcut through a residue: an
         all-present residue would be accepted where the enumeration order
         reaches a tuple mixing present and observed values first (possible
         from arity 3), and the reliance arcs and RELY entries would change.
         """
-        pair = (var.id, element)
-        self.graph.drop_support_arcs(pair, constraint.id)
         others = constraint.others(var.id)
         support = self._find_or_acquire(var, element, constraint, others)
         if support is None:
-            return _NO_SUPPORT
+            return False
         supporters = [
             (w, x) for w, x in zip(others, support)
             if self.variables[w].state(x) is not PairState.PRESENT
         ]
-        if not supporters:
-            return _BY_PRESENT
         newly = []
         for w, x in supporters:
             wvar = self.variables[w]
             if wvar.state(x) is PairState.CANDIDATE:
-                self._observe(wvar, x)
-                newly.append((w, x))
+                self._move(wvar, x, PairState.OBSERVED)
+                newly.append((wvar, x))
             self.trace.append(
                 ("RELY", (var.name, element), (wvar.name, x), constraint.name)
             )
-        self.graph.add_arcs(pair, constraint.id, supporters)
-        for w, x in newly:
-            if self.variables[w].state(x) is PairState.OBSERVED:
-                self._check_candidate(self.variables[w], x)
-        return _BY_GRAPH
+        self.graph.set_supporters((var.id, element), constraint.id, supporters)
+        for wvar, x in newly:
+            self._check_candidate(wvar, x)
+        return True
 
     def _find_or_acquire(self, var: FdVariable, element: Element,
                          constraint: FdConstraint, others: tuple) -> "tuple | None":
@@ -343,13 +336,11 @@ class Engine:
             support = self._find_tuple(var, element, constraint, pools, fresh)
             if support is not None:
                 return support
-            target = None
             for w in others:
-                wvar = self.variables[w]
-                if wvar.def_domain is not None and not self.isets.is_closed(wvar.def_domain):
-                    target = wvar
+                target = self.variables[w]
+                if self._open(target):
                     break
-            if target is None:
+            else:
                 return None
             self.acquire(target.def_domain, requesting_var=target.id,
                          requesting_constraint=constraint.name)
@@ -392,49 +383,66 @@ class Engine:
     def _remove_node(self, var: FdVariable, element: Element) -> None:
         """Drop an unsupported observed pair and re-seek support for every
         pair that relied on it, cascading removals as needed."""
-        pair = (var.id, element)
-        self._set_state(var, element, PairState.REMOVED)
-        var.removed.append(element)
-        self.trace.append(("REMOVE", var.name, element))
-        dependents = self.graph.dependents(pair)
-        self.graph.remove_node(pair)
+        dependents = self.graph.dependents((var.id, element))
+        self._move(var, element, PairState.REMOVED)
         for (dvid, delement), cid in dependents:
             dvar = self.variables[dvid]
             if dvar.state(delement) is not PairState.OBSERVED:
                 continue
-            if self._seek_support(dvar, delement, self._fd_constraints[cid]) == _NO_SUPPORT:
+            if not self._seek_support(dvar, delement, self._fd_constraints[cid]):
                 self._remove_node(dvar, delement)
-
-    def _observe(self, var: FdVariable, element: Element) -> None:
-        if var.state(element) is PairState.CANDIDATE and element in var.candidates:
-            var.candidates.remove(element)
-        self._set_state(var, element, PairState.OBSERVED)
-        self.graph.add_node((var.id, element))
-        self.trace.append(("OBSERVE", var.name, element))
 
     def _flush_graph(self) -> None:
         """Promote every surviving observed pair to present and clear the
         graph; the batch was verified mutually supported, and presents
         never revert during propagation, so the supports stay valid."""
         for vid, element in list(self.graph.nodes):
-            var = self.variables[vid]
-            self._set_state(var, element, PairState.PRESENT)
-            var.present.append(element)
-            self.trace.append(("PRESENT", var.name, element))
+            self._move(self.variables[vid], element, PairState.PRESENT)
         self.graph.clear()
 
-    def _set_state(self, var: FdVariable, element: Element, new: PairState) -> None:
-        old = var.state(element)
-        phase = "search" if self._search_depth else "prop"
-        allowed = ALLOWED_TRANSITIONS if phase == "prop" \
-            else ALLOWED_TRANSITIONS | SEARCH_TRANSITIONS
+    def _move(self, var: FdVariable, element: Element, new: PairState) -> None:
+        """Move one (variable, element) pair to state new: the one place
+        where a pair changes state.
+
+        The move is checked against the transitions permitted in the
+        current phase (search permits more), which fixes the state each
+        branch below leaves. The element leaves the list of its old state
+        and joins that of the new one; an observed pair sits in the support
+        graph instead of a list, and leaves it either by removal here or by
+        the flush that clears the whole graph. The transition log and the
+        trace get one entry each."""
+        old = var.states.get(element, PairState.UNKNOWN)
+        if self._search_depth:
+            phase, allowed = "search", _SEARCH_ALLOWED
+        else:
+            phase, allowed = "prop", ALLOWED_TRANSITIONS
         if (old, new) not in allowed:
             raise AssertionError(
                 f"illegal {phase} transition {old.value}->{new.value} "
                 f"for ({var.name},{element!r})"
             )
+        if new is PairState.CANDIDATE:  # from unknown
+            var.candidates.append(element)
+            tag = "CANDIDATE"
+        elif new is PairState.OBSERVED:  # from candidate
+            var.candidates.remove(element)
+            self.graph.add_node((var.id, element))
+            tag = "OBSERVE"
+        elif new is PairState.PRESENT:  # from observed; the flush clears the graph
+            var.present.append(element)
+            tag = "PRESENT"
+        else:  # removed: from observed, or in search from candidate or present
+            if old is PairState.OBSERVED:
+                self.graph.remove_node((var.id, element))
+            elif old is PairState.CANDIDATE:
+                var.candidates.remove(element)
+            else:
+                var.present.remove(element)
+            var.removed.append(element)
+            tag = "REMOVE"
         var.states[element] = new
         self.transitions.append((var.id, element, old, new, phase))
+        self.trace.append((tag, var.name, element))
 
     # ------------------------------------------------------------------
     # read access
@@ -495,7 +503,7 @@ class Engine:
                     pass
                 self._restore(snapshot)
                 continue
-            if var.def_domain is not None and not self.isets.is_closed(var.def_domain):
+            if self._open(var):
                 snapshot = self._snapshot()
                 try:
                     self.acquire(var.def_domain, requesting_var=var.id)
@@ -507,14 +515,8 @@ class Engine:
             return None
 
     def _bind(self, var: FdVariable, value: Element) -> None:
-        for e in list(var.present):
-            if e != value:
-                self._search_remove_present(var, e)
-        for e in list(var.candidates):
-            var.candidates.remove(e)
-            self._set_state(var, e, PairState.REMOVED)
-            var.removed.append(e)
-            self.trace.append(("REMOVE", var.name, e))
+        for e in [*(e for e in var.present if e != value), *var.candidates]:
+            self._move(var, e, PairState.REMOVED)
         var.bound_to = value
         self._revise([var])
         self.kac_fixpoint()
@@ -552,16 +554,10 @@ class Engine:
                             pools = self._pools(others, present_only=True)
                         support = self._find_tuple(wvar, e, constraint, pools)
                         if support is None:
-                            self._search_remove_present(wvar, e)
+                            self._move(wvar, e, PairState.REMOVED)
                             work.append(w)
                         else:
                             residues[e] = support
-
-    def _search_remove_present(self, var: FdVariable, element: Element) -> None:
-        self._set_state(var, element, PairState.REMOVED)
-        var.present.remove(element)
-        var.removed.append(element)
-        self.trace.append(("REMOVE", var.name, element))
 
     # ------------------------------------------------------------------
     # snapshots (search only; taken at quiescence)

@@ -9,8 +9,12 @@ is always the definition domain minus the removed values.
 
 Every (variable, element) pair moves through a small state machine; the
 transitions permitted during propagation are exactly the four listed in
-ALLOWED_TRANSITIONS. Search-time narrowing is a snapshot-level operation
-and is tagged separately in the engine's transition log.
+ALLOWED_TRANSITIONS, and search may also remove candidate and present
+values (SEARCH_TRANSITIONS). The engine makes every move in one routine,
+which checks it against these tables, moves the element from the list of
+its old state to that of its new one (observed pairs live in the
+SupportGraph instead) and logs it, tagged with its phase. A pair's state
+and the place that holds its element therefore never disagree.
 """
 
 from __future__ import annotations
@@ -141,9 +145,6 @@ class SupportGraph:
             vid, element = pair
             self._observed.setdefault(vid, []).append(element)
 
-    def has_node(self, pair) -> bool:
-        return pair in self.nodes
-
     def observed_elements(self, vid: int) -> list:
         return list(self._observed.get(vid, ()))
 
@@ -153,20 +154,20 @@ class SupportGraph:
         return [(p, q, cid) for p, by_cid in self._supporters.items()
                 for cid, supporters in by_cid.items() for q in supporters]
 
-    def add_arcs(self, supported, cid: int, supporters) -> None:
-        """Record that `supported` relies on each of `supporters` for cid."""
+    def set_supporters(self, supported, cid: int, supporters) -> None:
+        """Record that `supported` relies on exactly `supporters` for cid,
+        replacing the arcs recorded for it before; with no supporters it
+        relies on nothing for cid."""
+        by_cid = self._supporters.get(supported)
+        if by_cid is not None:
+            for supporter in by_cid.pop(cid, ()):
+                del self._dependents[supporter][(supported, cid)]
+        if not supporters:
+            return
         supporters = tuple(supporters)
         self._supporters.setdefault(supported, {})[cid] = supporters
         for supporter in supporters:
             self._dependents.setdefault(supporter, {})[(supported, cid)] = None
-
-    def drop_support_arcs(self, supported, cid: int) -> None:
-        """Forget which supporters `supported` used for constraint cid."""
-        by_cid = self._supporters.get(supported)
-        if by_cid is None:
-            return
-        for supporter in by_cid.pop(cid, ()):
-            del self._dependents[supporter][(supported, cid)]
 
     def dependents(self, supporter) -> list:
         """Pairs (dependent pair, constraint id) that rely on `supporter`."""

@@ -359,9 +359,6 @@ class IsetStore:
     def is_closed(self, iset: int) -> bool:
         return not self._get(iset).open
 
-    def iset_count(self) -> int:
-        return len(self._isets)
-
     # ------------------------------------------------------------------
     # state changes
 

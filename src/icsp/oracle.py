@@ -118,9 +118,9 @@ def is_known_arc_consistent(domains: dict, constraints: list) -> bool:
     return True
 
 
-def run_engine_on(csp: ClosedCsp):
-    """Solve the instance with the full engine, all sets created closed and
-    no sources bound. Returns (failed, present sub-domains or None)."""
+def build_engine(csp: ClosedCsp):
+    """The instance as an engine, all sets created closed and no sources
+    bound. Returns (engine, {key: variable id})."""
     engine = Engine()
     ids = {}
     for key, dom in csp.domains.items():
@@ -128,6 +128,13 @@ def run_engine_on(csp: ClosedCsp):
         ids[key] = engine.new_fd_variable(iset, name=str(key))
     for name, args, verifier in csp.constraints:
         engine.post_fd_constraint(name, [ids[a] for a in args], verifier)
+    return engine, ids
+
+
+def run_engine_on(csp: ClosedCsp):
+    """Solve the instance with the full engine (see build_engine). Returns
+    (failed, present sub-domains or None)."""
+    engine, ids = build_engine(csp)
     ok = engine.solve()
     if not ok:
         return True, None

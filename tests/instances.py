@@ -9,7 +9,7 @@ failure is replayable from its seed.
 
 import random
 
-from icsp import Engine, Inconsistency, IsetStore, ScriptedSource, resolve_verifier
+from icsp import Engine, Inconsistency, IsetStore, PairState, ScriptedSource, resolve_verifier
 from icsp.fd import ALLOWED_TRANSITIONS
 from icsp.isets import Difference, Inclusion, Intersection, Member, Union
 from icsp.oracle import ClosedCsp, is_known_arc_consistent
@@ -42,6 +42,38 @@ def engine_kac_holds(engine):
     domains = {v.id: list(v.present) for v in engine.variables}
     constraints = [(c.name, c.args, c.verifier) for c in engine.fd_constraints()]
     return is_known_arc_consistent(domains, constraints)
+
+
+def pair_place_errors(engine):
+    """Where each pair sits, against its recorded state. Every element with a
+    state must be in exactly one of its variable's present, removed and
+    candidate lists or among the support graph's observed pairs, the place
+    its state names, and no list may repeat an element."""
+    errors = []
+    observed = {}
+    for vid, element in engine.graph.nodes:
+        observed.setdefault(vid, []).append(element)
+    for var in engine.variables:
+        if engine.graph.observed_elements(var.id) != observed.get(var.id, []):
+            errors.append(f"{var.name}: graph indexes disagree on its observed pairs")
+        places = {
+            PairState.PRESENT: var.present,
+            PairState.REMOVED: var.removed,
+            PairState.CANDIDATE: list(var.candidates),
+            PairState.OBSERVED: observed.get(var.id, []),
+        }
+        where = {}
+        for state, elements in places.items():
+            if len(set(elements)) != len(elements):
+                errors.append(f"{var.name}: its {state.value} place repeats an element")
+            for element in elements:
+                where.setdefault(element, []).append(state)
+        for element in where.keys() | var.states.keys():
+            sits = where.get(element, [])
+            if sits != [var.state(element)]:
+                errors.append(f"({var.name},{element!r}) is {var.state(element).value} "
+                              f"but sits in {[s.value for s in sits]}")
+    return errors
 
 
 def audit_transitions(engine):

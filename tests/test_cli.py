@@ -239,7 +239,7 @@ def test_main_missing_file_exit_2(capsys):
 def test_main_runs_golden(tmp_path, capsys):
     path = tmp_path / "golden.icsp"
     path.write_text(GOLDEN_PROBLEM, encoding="utf-8")
-    assert main([str(path), "--trace", "--seed", "7"]) == 0
+    assert main([str(path), "--trace"]) == 0
     assert capsys.readouterr().out == GOLDEN_TRACE
 
 

@@ -281,3 +281,29 @@ def test_transition_log_is_clean_across_scenarios():
     eng.solve()
     assert audit_transitions(eng) == []
     assert all(phase == "prop" for *_rest, phase in eng.transitions)
+
+
+def test_pair_stranded_by_a_raising_verifier_is_checked_by_the_next_solve():
+    # The verifier raises while x=3 is under check, which leaves the pair
+    # observed in the support graph. The next solve() must finish that
+    # check (3 has no larger y) instead of promoting the pair unverified.
+    eng = Engine()
+    x = eng.new_fd_variable(eng.new_iset([1, 2, 3], open=False, name="dx"), name="x")
+    y = eng.new_fd_variable(eng.new_iset([1, 2, 3], open=False, name="dy"), name="y")
+    raised = []
+
+    def flaky_lt(values):
+        if values == [3, 1] and not raised:
+            raised.append(values)
+            raise TypeError("flaky verifier")
+        return values[0] < values[1]
+
+    eng.post_fd_constraint("lt", [x, y], flaky_lt)
+    with pytest.raises(TypeError):
+        eng.solve()
+    assert eng.pair_state(x, 3) is PairState.OBSERVED
+    assert eng.solve() is True
+    assert engine_kac_holds(eng)
+    assert eng.present(x) == [1, 2] and eng.removed(x) == [3]
+    assert eng.present(y) == [2, 3] and eng.removed(y) == [1]
+    assert eng.graph.nodes == {}

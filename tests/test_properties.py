@@ -3,11 +3,14 @@ repeats the headline properties at their full instance counts)."""
 
 import random
 
-from icsp import PairState
+from icsp import PairState, resolve_verifier
+from icsp.oracle import ClosedCsp, build_engine
 
 from instances import (
     audit_transitions,
     engine_kac_holds,
+    pair_place_errors,
+    random_closed_csp,
     random_iset_instance,
     random_open_engine,
     run_iset_instance,
@@ -89,3 +92,33 @@ def test_no_arc_ever_points_at_a_present_supporter():
                 present_so_far.add((entry[1], entry[2]))
             elif entry[0] == "RELY":
                 assert entry[2] not in present_so_far
+
+
+def test_pair_states_match_their_places_after_open_solve():
+    rng = random.Random(7)
+    consistent = 0
+    for _ in range(80):
+        engine, var_ids = random_open_engine(rng)
+        if engine.solve():
+            consistent += 1
+            for vid in var_ids:
+                var = engine.variable(vid)
+                assert set(var.states) == engine.known(var.def_domain)
+        assert pair_place_errors(engine) == []
+    assert consistent > 10
+
+
+def test_pair_states_match_their_places_after_closed_label():
+    # Three variables over two values, pairwise different: arc consistent,
+    # so solve() succeeds, but label() exhausts the search and returns None.
+    ne = resolve_verifier("ne")[2]
+    pigeonhole = ClosedCsp({k: [1, 2] for k in "abc"},
+                           [("ne", [p, q], ne) for p, q in ("ab", "bc", "ac")])
+    rng = random.Random(8)
+    outcomes = []
+    for csp in [pigeonhole] + [random_closed_csp(rng) for _ in range(120)]:
+        engine, _ids = build_engine(csp)
+        if engine.solve():
+            outcomes.append(engine.label())
+        assert pair_place_errors(engine) == []
+    assert any(o is None for o in outcomes) and any(o is not None for o in outcomes)
