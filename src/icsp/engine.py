@@ -55,14 +55,12 @@ class Engine:
         # (iset id, requesting var id or None, element or None) per acquire call
         self.acquisitions: list = []
         self._fd_constraints: list[FdConstraint] = []
-        self._constraints_on: dict[int, list[FdConstraint]] = {}
+        # constraint id -> {var id: the constraint's arc for it}; see
+        # post_fd_constraint
+        self._arcs: list[dict[int, tuple]] = []
         self._links: dict[int, list[int]] = {}
         self._sources: dict[int, AcquisitionSource] = {}
         self._search_depth = 0
-        # (constraint id, var id) -> {element: the support _revise last
-        # found for that pair, ordered as constraint.others(var id)}; a
-        # hint, sound to reuse while every value in it is present.
-        self._residues: dict = {}
 
     # ------------------------------------------------------------------
     # iset facade
@@ -131,6 +129,20 @@ class Engine:
         With verifier=None the name must resolve to a built-in. Constraints
         should be posted before the first kac_fixpoint call: values already
         present are not re-checked against later constraints.
+
+        Posting builds the constraint's arcs in one pass, one per distinct
+        argument variable w: the tuple (constraint, w, others, residues).
+        others holds the other distinct argument variables, the ones a
+        support for a value of w must assign, in the order of every support
+        tuple; it is laid out once here instead of at every seek and
+        revision. residues maps a value of w to the all-present support
+        that search's revise found for it last: a hint, sound to reuse
+        while every value in it is still present, so it needs no undo when
+        search backtracks. Arcs are plain tuples because posting builds
+        one per argument, and a class instance costs several times as much
+        to create. Support seeking walks the arcs on a variable; revise
+        walks, from a variable that lost values, the arcs of the same
+        constraints towards the other variables.
         """
         for vid in args:
             self.variable(vid)
@@ -141,8 +153,11 @@ class Engine:
         cid = len(self._fd_constraints)
         constraint = FdConstraint(cid, name, args, verifier)
         self._fd_constraints.append(constraint)
-        for vid in constraint.distinct_args():
-            self._constraints_on.setdefault(vid, []).append(constraint)
+        distinct, arcs, variables = constraint.distinct_args(), {}, self.variables
+        for k, w in enumerate(distinct):
+            arcs[w] = arc = (constraint, w, distinct[:k] + distinct[k + 1:], {})
+            variables[w].arcs.append(arc)
+        self._arcs.append(arcs)
         return cid
 
     def fd_constraint(self, cid: int) -> FdConstraint:
@@ -273,16 +288,15 @@ class Engine:
         """Seek support for an observed pair against every constraint on its
         variable. Cascades triggered while checking one constraint may
         remove the pair itself; the state guard detects that."""
-        for constraint in self._constraints_on.get(var.id, ()):
+        for arc in var.arcs:
             if var.state(element) is not PairState.OBSERVED:
                 return
-            if not self._seek_support(var, element, constraint):
+            if not self._seek_support(var, element, arc):
                 self._remove_node(var, element)
                 return
 
-    def _seek_support(self, var: FdVariable, element: Element,
-                      constraint: FdConstraint) -> bool:
-        """Find a satisfying tuple for the pair under one constraint.
+    def _seek_support(self, var: FdVariable, element: Element, arc: tuple) -> bool:
+        """Find a satisfying tuple for the pair under the arc's constraint.
 
         An all-present tuple needs no bookkeeping; any other supporter is
         recorded with a reliance arc, and candidate supporters are observed
@@ -294,7 +308,7 @@ class Engine:
         reaches a tuple mixing present and observed values first (possible
         from arity 3), and the reliance arcs and RELY entries would change.
         """
-        others = constraint.others(var.id)
+        constraint, _, others, _ = arc
         support = self._find_or_acquire(var, element, constraint, others)
         if support is None:
             return False
@@ -368,7 +382,7 @@ class Engine:
         """First satisfying assignment of the other variables in
         lexicographic order over their pools, the pair's element fixed at
         every occurrence of its variable. Returns the elements ordered as
-        constraint.others(var.id), or None. With fresh given, only tuples
+        the others of the pair's arc, or None. With fresh given, only tuples
         holding at least one of its elements are verified."""
         if fresh is not None and not fresh:
             return None
@@ -389,7 +403,7 @@ class Engine:
             dvar = self.variables[dvid]
             if dvar.state(delement) is not PairState.OBSERVED:
                 continue
-            if not self._seek_support(dvar, delement, self._fd_constraints[cid]):
+            if not self._seek_support(dvar, delement, self._arcs[cid][dvid]):
                 self._remove_node(dvar, delement)
 
     def _flush_graph(self) -> None:
@@ -468,7 +482,10 @@ class Engine:
         Values are tried in present-list order; committing to a value moves
         the variable's other present values to removed and re-propagates.
         Failed branches restore a full engine snapshot (sets, variables,
-        pair states and source positions). When a variable runs out of
+        pair states and source positions). Any other exception, from a
+        verifier or a source, restores every snapshot on its way out, so it
+        leaves label() with the engine back in the state label() started
+        from; only the logs keep what happened. When a variable runs out of
         present values and its definition domain is still open, one more
         element is acquired before giving up on the node.
 
@@ -501,6 +518,9 @@ class Engine:
                         return result
                 except Inconsistency:
                     pass
+                except BaseException:
+                    self._restore(snapshot)
+                    raise
                 self._restore(snapshot)
                 continue
             if self._open(var):
@@ -511,6 +531,9 @@ class Engine:
                 except Inconsistency:
                     self._restore(snapshot)
                     return None
+                except BaseException:
+                    self._restore(snapshot)
+                    raise
                 continue
             return None
 
@@ -525,28 +548,45 @@ class Engine:
         """Cascade removal of present values whose every present-tuple
         support died when a search decision narrowed some variable.
 
-        Each check first tries the pair's residue, the support it found
-        last time: while all of its values are still present it proves
-        the pair supported without a search. Residues need no undo when
-        search backtracks; a stale one fails the present test and the
-        search runs as before."""
+        A work queue holds variables that lost values, one entry per loss.
+        Popping v revises every arc (c, w) with c a constraint on v and w
+        another of its variables: each present value of w keeps a support
+        of present values of c's other variables, or is removed and queues
+        w. Each check first tries the value's residue on the arc, the
+        support found last time: while all of its values are still present
+        it proves the value supported without a search. Residues need no
+        undo when search backtracks; a stale one fails the present test and
+        the search runs as before.
+
+        A later pop of v in the same call skips v's binary arcs, those
+        whose others is just (v,) (repeated arguments such as [a, a, b]
+        included), when v has lost no value since its previous pop. That
+        is exact: the previous pop left every present value of w a residue
+        in v's present set, which is unchanged, and w's values can only
+        have been removed since, so the revision would remove nothing and
+        change no residue. Arcs over three or more distinct variables are
+        always revised: one of their other variables may have changed, and
+        revising them later, at its pop, would reorder the removals."""
+        variables, arcs, present = self.variables, self._arcs, PairState.PRESENT
         work = deque(v.id for v in seeds)
+        seen: dict = {}  # var id -> len(removed) at its previous pop
         while work:
             vid = work.popleft()
-            for constraint in self._constraints_on.get(vid, ()):
-                for w in constraint.distinct_args():
-                    if w == vid:
+            lost = len(variables[vid].removed)
+            unchanged = seen.get(vid) == lost
+            seen[vid] = lost
+            for c, _, _, _ in variables[vid].arcs:
+                for constraint, w, others, residues in arcs[c.id].values():
+                    if w == vid or (unchanged and len(others) == 1):
                         continue
-                    wvar = self.variables[w]
-                    others = constraint.others(w)
-                    states = [self.variables[u].states for u in others]
-                    residues = self._residues.setdefault((constraint.id, w), {})
+                    wvar = variables[w]
+                    states = [variables[u].states for u in others]
                     pools = None  # built once: removing w's values leaves them valid
                     for e in list(wvar.present):
                         residue = residues.get(e)
                         if residue is not None:
                             for state, x in zip(states, residue):
-                                if state.get(x) is not PairState.PRESENT:
+                                if state.get(x) is not present:
                                     break
                             else:
                                 continue  # every value of the residue is present

@@ -34,6 +34,10 @@ class PairState(Enum):
     PRESENT = "present"
     REMOVED = "removed"
 
+    # Members are singletons, so identity hashing agrees with equality; it
+    # runs in C, where Enum's own __hash__ is a Python call.
+    __hash__ = object.__hash__
+
 
 ALLOWED_TRANSITIONS = {
     (PairState.UNKNOWN, PairState.CANDIDATE),    # element entered the definition domain
@@ -58,6 +62,9 @@ class FdVariable:
         self.removed: list = []
         self.candidates: deque = deque()
         self.states: dict = {}
+        # One arc per constraint on this variable, in posting order (see
+        # Engine.post_fd_constraint).
+        self.arcs: list = []
         # Set while search has committed this variable to a single value.
         self.bound_to: "Element | None" = None
 
@@ -94,15 +101,10 @@ class FdConstraint:
         """The argument variables without repeats, in first-occurrence order."""
         return self._distinct
 
-    def others(self, vid: int) -> tuple:
-        """distinct_args() without vid: the variables a support for one of
-        vid's values must assign."""
-        k = self._distinct.index(vid)
-        return self._distinct[:k] + self._distinct[k + 1:]
-
     def values(self, vid: int, element: Element, others: tuple) -> Sequence:
         """The ground tuple with element at every occurrence of vid and the
-        values in others (ordered as others(vid)) everywhere else."""
+        values in others (ordered as distinct_args() without vid)
+        everywhere else."""
         k = self._distinct.index(vid)
         full = others[:k] + (element,) + others[k:]
         return full if self._spread is None else [full[i] for i in self._spread]

@@ -102,6 +102,30 @@ def random_closed_csp(rng: random.Random) -> ClosedCsp:
     return ClosedCsp(domains, constraints)
 
 
+def random_nary_closed_csp(rng: random.Random) -> ClosedCsp:
+    """A closed CSP mixing binary comparisons, repeated-argument sums over
+    [a, a, b] and ternary sums over three distinct variables. Each sum's
+    constant is reached by some tuple of initial values."""
+    nvars = rng.randint(4, 7)
+    keys = [f"v{i}" for i in range(nvars)]
+    domains = {k: rng.sample(range(6), rng.randint(3, 6)) for k in keys}
+    constraints = []
+    for _ in range(rng.randint(3, 6)):
+        roll = rng.random()
+        if roll < 0.6:
+            name, args = rng.choice(COMPARISONS), rng.sample(keys, 2)
+        else:
+            if roll < 0.8:
+                a, b = rng.sample(keys, 2)
+                args = [a, a, b]
+            else:
+                args = rng.sample(keys, 3)
+            picks = {a: rng.choice(domains[a]) for a in args}
+            name = f"sum_eq_const:{sum(picks[a] for a in args)}"
+        constraints.append((name, args, resolve_verifier(name)[2]))
+    return ClosedCsp(domains, constraints)
+
+
 # ----------------------------------------------------------------------
 # open-domain instances with scripted sources
 

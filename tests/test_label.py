@@ -1,7 +1,11 @@
 """Search tests: depth-first labeling over present values with snapshot
 restore, plus acquisition of extra elements at a search node."""
 
-from icsp import Engine, Intersection, ScriptedSource
+import pytest
+
+from icsp import Engine, Intersection, PairState, ScriptedSource
+
+from instances import engine_kac_holds, pair_place_errors
 
 
 def gated_triangle(a_open=False, a_script=None):
@@ -149,3 +153,39 @@ def test_label_agrees_with_exhaustive_search():
             values = [solution[v] for v in var_ids]
             for name, (a, b), fn in constraints:
                 assert fn([values[a], values[b]]), f"seed {seed}: bad solution"
+
+
+def test_label_interrupted_by_a_raising_verifier_restores_its_entry_state():
+    # x=1 is bound, x=2 removed, and then the verifier raises while y=1 is
+    # revised. label() must restore the state it started from before the
+    # exception leaves it: a later element for x is then an ordinary
+    # candidate, not a contradiction of a stale search decision.
+    eng = Engine()
+    dx = eng.new_iset([1, 2], name="dx")
+    eng.register_source(dx, ScriptedSource([3]))
+    x = eng.new_fd_variable(dx, name="x")
+    y = eng.new_fd_variable(eng.new_iset([1, 2, 3], open=False, name="dy"), name="y")
+    armed = []
+
+    def flaky_ne(values):
+        if armed and values == [1, 1]:
+            armed.clear()
+            raise TypeError("flaky verifier")
+        return values[0] != values[1]
+
+    eng.post_fd_constraint("ne", [x, y], flaky_ne)
+    assert eng.solve() is True
+    before = {v: eng.present(v) for v in (x, y)}
+    armed.append(True)
+    with pytest.raises(TypeError):
+        eng.label()
+    assert not armed  # the verifier did raise inside label()
+    assert all(eng.variable(v).bound_to is None for v in (x, y))
+    assert {v: eng.present(v) for v in (x, y)} == before
+    assert engine_kac_holds(eng)
+    assert pair_place_errors(eng) == []
+    eng.ensure_member(dx, 7)
+    assert eng.solve() is True
+    assert eng.pair_state(x, 7) is PairState.PRESENT
+    assert engine_kac_holds(eng)
+    assert pair_place_errors(eng) == []

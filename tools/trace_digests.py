@@ -1,0 +1,80 @@
+"""Print one digest per benchmark workload of every instance's full record.
+
+    python3 tools/trace_digests.py --seed 1
+
+icsp is imported from the src/ directory of the checkout that holds this
+file, and the instance lists from its bench/workloads.py, which is only
+read. Every
+instance of lazy_chain, closed_search and set_network is built and run to
+its verdict once, untimed and unchecked. Its record is the verdict
+outcome plus the engine's trace, transition log and acquisition log; an
+instance that raises is recorded by its exception type alone. Two
+checkouts that print the same digests made the same choices on every
+instance: the same supports, removals and acquisitions in the same order.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def instance_record(workload, instance) -> "tuple[str, str | None]":
+    """(record, None) with the record of the instance's outcome and logs,
+    or ("raised <type>", <type>) when it crashes. set_network builds its
+    engine inside cli.run, so cli.Engine is swapped for a recording factory
+    while the instance runs."""
+    from icsp import Engine, cli
+
+    engines = []
+
+    def new_engine():
+        engines.append(Engine())
+        return engines[-1]
+
+    cli.Engine = new_engine
+    try:
+        model = workload.setup(instance.spec, new_engine)
+        outcome = workload.verdict(model)
+    except Exception as exc:  # a crash is part of the record, by its type
+        return f"raised {type(exc).__name__}", type(exc).__name__
+    finally:
+        cli.Engine = Engine
+    logs = [(e.trace, e.transitions, e.acquisitions) for e in engines]
+    return repr((outcome, logs)), None
+
+
+def workload_digest(workload, seed: int) -> "tuple[str, Counter]":
+    total = hashlib.sha256()
+    crashes: Counter = Counter()
+    for instance in workload.instances(seed, workload.count):
+        record, crash = instance_record(workload, instance)
+        if crash is not None:
+            crashes[crash] += 1
+        total.update(hashlib.sha256(record.encode()).digest())
+    return total.hexdigest()[:16], crashes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    sys.dont_write_bytecode = True  # leave no cache files under bench/
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        digest, crashes = workload_digest(workload, args.seed)
+        crashed = ", ".join(f"{kind} x{n}" for kind, n in sorted(crashes.items()))
+        print(f"{name} seed={args.seed} instances={workload.count} "
+              f"digest={digest} crashed=[{crashed}]")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
