@@ -32,8 +32,11 @@ class AcquisitionSource:
 
     None means exhausted; after reporting exhaustion for an iset a source
     must keep reporting it. get_state/set_state let the engine rewind a
-    source together with the rest of the world during search backtracking;
-    sources that cannot rewind (interactive input) simply keep no state.
+    source together with the rest of the world during search backtracking:
+    before each acquisition made during label() the engine takes
+    get_state() and records it on its undo trail, and set_state(state)
+    puts the source back when search undoes that acquisition. Sources that
+    cannot rewind (interactive input) simply keep no state.
     """
 
     def next(self, iset: int, ctx: AcquisitionContext) -> "Element | None":

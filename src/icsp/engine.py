@@ -60,7 +60,6 @@ class Engine:
         self._arcs: list[dict[int, tuple]] = []
         self._links: dict[int, list[int]] = {}
         self._sources: dict[int, AcquisitionSource] = {}
-        self._search_depth = 0
 
     # ------------------------------------------------------------------
     # iset facade
@@ -201,13 +200,16 @@ class Engine:
         if self.isets.is_closed(iset):
             raise ValueError(f"cannot acquire for closed set {self.isets.name_of(iset)}")
         source = self._sources.get(iset)
-        var_name = (self.variables[requesting_var].name
+        var_name = (self.variable(requesting_var).name
                     if requesting_var is not None else None)
         ctx = AcquisitionContext(
             requesting_var=requesting_var,
             requesting_constraint=requesting_constraint,
             var_name=var_name,
         )
+        trail = self.isets.trail
+        if trail is not None and source is not None:
+            trail.append((source.set_state, source.get_state()))
         element = source.next(iset, ctx) if source is not None else None
         self.acquisitions.append((iset, requesting_var, element))
         self.trace.append(("ACQUIRE", self.isets.name_of(iset), element))
@@ -286,22 +288,46 @@ class Engine:
 
     def _check_candidate(self, var: FdVariable, element: Element) -> None:
         """Seek support for an observed pair against every constraint on its
-        variable. Cascades triggered while checking one constraint may
-        remove the pair itself; the state guard detects that."""
-        for arc in var.arcs:
-            if var.state(element) is not PairState.OBSERVED:
-                return
-            if not self._seek_support(var, element, arc):
-                self._remove_node(var, element)
-                return
+        variable, and check to completion every pair that this observes or
+        that loses its support on the way.
 
-    def _seek_support(self, var: FdVariable, element: Element, arc: tuple) -> bool:
+        One explicit stack of frames (variable, element, iterator over the
+        arcs still to check) drives the check, so its depth is not bounded
+        by the interpreter's recursion limit. A candidate observed as a
+        supporter gets a frame over all of its arcs; when a pair is removed,
+        each pair that relied on it gets a frame over the one arc that
+        relied on it. Frames are pushed in reverse so that the first is
+        checked first, to completion, before the next: the depth-first
+        order of a recursive check, which fixes the trace. A cascade may
+        remove a pair whose frame is still waiting; the state guard detects
+        that."""
+        observed, variables, arcs_of = PairState.OBSERVED, self.variables, self._arcs
+        stack = [(var, element, iter(var.arcs))]
+        while stack:
+            var, element, arcs = stack[-1]
+            arc = next(arcs, None)
+            if arc is None or var.states.get(element) is not observed:
+                stack.pop()
+                continue
+            newly = self._seek_support(var, element, arc)
+            if newly is not None:
+                stack.extend((w, x, iter(w.arcs)) for w, x in reversed(newly))
+                continue
+            stack.pop()
+            dependents = self.graph.dependents((var.id, element))
+            self._move(var, element, PairState.REMOVED)
+            stack.extend((variables[d], x, iter((arcs_of[cid][d],)))
+                         for (d, x), cid in reversed(dependents))
+
+    def _seek_support(self, var: FdVariable, element: Element,
+                      arc: tuple) -> "list | None":
         """Find a satisfying tuple for the pair under the arc's constraint.
 
         An all-present tuple needs no bookkeeping; any other supporter is
-        recorded with a reliance arc, and candidate supporters are observed
-        and fully checked before returning. Without a tuple, even after
-        acquiring, the pair is unsupported and False is returned.
+        recorded with a reliance arc, and candidate supporters are observed.
+        Returns those newly observed (variable, element) pairs, for the
+        caller to check, or None when there is no tuple even after
+        acquiring: the pair is unsupported.
 
         Unlike _revise, this search takes no shortcut through a residue: an
         all-present residue would be accepted where the enumeration order
@@ -311,7 +337,7 @@ class Engine:
         constraint, _, others, _ = arc
         support = self._find_or_acquire(var, element, constraint, others)
         if support is None:
-            return False
+            return None
         supporters = [
             (w, x) for w, x in zip(others, support)
             if self.variables[w].state(x) is not PairState.PRESENT
@@ -326,9 +352,7 @@ class Engine:
                 ("RELY", (var.name, element), (wvar.name, x), constraint.name)
             )
         self.graph.set_supporters((var.id, element), constraint.id, supporters)
-        for wvar, x in newly:
-            self._check_candidate(wvar, x)
-        return True
+        return newly
 
     def _find_or_acquire(self, var: FdVariable, element: Element,
                          constraint: FdConstraint, others: tuple) -> "tuple | None":
@@ -394,18 +418,6 @@ class Engine:
                 return support
         return None
 
-    def _remove_node(self, var: FdVariable, element: Element) -> None:
-        """Drop an unsupported observed pair and re-seek support for every
-        pair that relied on it, cascading removals as needed."""
-        dependents = self.graph.dependents((var.id, element))
-        self._move(var, element, PairState.REMOVED)
-        for (dvid, delement), cid in dependents:
-            dvar = self.variables[dvid]
-            if dvar.state(delement) is not PairState.OBSERVED:
-                continue
-            if not self._seek_support(dvar, delement, self._arcs[cid][dvid]):
-                self._remove_node(dvar, delement)
-
     def _flush_graph(self) -> None:
         """Promote every surviving observed pair to present and clear the
         graph; the batch was verified mutually supported, and presents
@@ -419,44 +431,65 @@ class Engine:
         where a pair changes state.
 
         The move is checked against the transitions permitted in the
-        current phase (search permits more), which fixes the state each
-        branch below leaves. The element leaves the list of its old state
-        and joins that of the new one; an observed pair sits in the support
-        graph instead of a list, and leaves it either by removal here or by
-        the flush that clears the whole graph. The transition log and the
-        trace get one entry each."""
+        current phase (search, which keeps a trail, permits more), which
+        fixes the state each branch below leaves. The element leaves the
+        list of its old state (source) and joins the end of that of the new
+        one (target); an observed pair sits in the support graph instead of
+        a list, and leaves it either by removal here or by the flush that
+        clears the whole graph. The transition log and the trace get one
+        entry each, and in search the trail gets the record that _unmove
+        undoes the move with."""
         old = var.states.get(element, PairState.UNKNOWN)
-        if self._search_depth:
-            phase, allowed = "search", _SEARCH_ALLOWED
-        else:
+        trail = self.isets.trail
+        if trail is None:
             phase, allowed = "prop", ALLOWED_TRANSITIONS
+        else:
+            phase, allowed = "search", _SEARCH_ALLOWED
         if (old, new) not in allowed:
             raise AssertionError(
                 f"illegal {phase} transition {old.value}->{new.value} "
                 f"for ({var.name},{element!r})"
             )
+        source = target = None
         if new is PairState.CANDIDATE:  # from unknown
-            var.candidates.append(element)
-            tag = "CANDIDATE"
+            target, tag = var.candidates, "CANDIDATE"
         elif new is PairState.OBSERVED:  # from candidate
-            var.candidates.remove(element)
+            source, tag = var.candidates, "OBSERVE"
             self.graph.add_node((var.id, element))
-            tag = "OBSERVE"
         elif new is PairState.PRESENT:  # from observed; the flush clears the graph
-            var.present.append(element)
-            tag = "PRESENT"
+            target, tag = var.present, "PRESENT"
         else:  # removed: from observed, or in search from candidate or present
             if old is PairState.OBSERVED:
                 self.graph.remove_node((var.id, element))
-            elif old is PairState.CANDIDATE:
-                var.candidates.remove(element)
             else:
-                var.present.remove(element)
-            var.removed.append(element)
-            tag = "REMOVE"
+                source = var.candidates if old is PairState.CANDIDATE else var.present
+            target, tag = var.removed, "REMOVE"
+        index = None
+        if source is not None:
+            index = source.index(element)
+            del source[index]
+        if target is not None:
+            target.append(element)
         var.states[element] = new
+        if trail is not None:
+            trail.append((self._unmove, var, element, old, source, index, target))
         self.transitions.append((var.id, element, old, new, phase))
         self.trace.append((tag, var.name, element))
+
+    @staticmethod
+    def _unmove(var: FdVariable, element: Element, old: PairState,
+                source, index, target) -> None:
+        """Undo one _move, the latest one not yet undone: the element
+        leaves the end of its target list and returns to its index in its
+        source list. The support graph is cleared after undoing instead."""
+        if target is not None:
+            target.pop()
+        if source is not None:
+            source.insert(index, element)
+        if old is PairState.UNKNOWN:
+            del var.states[element]
+        else:
+            var.states[element] = old
 
     # ------------------------------------------------------------------
     # read access
@@ -481,23 +514,27 @@ class Engine:
 
         Values are tried in present-list order; committing to a value moves
         the variable's other present values to removed and re-propagates.
-        Failed branches restore a full engine snapshot (sets, variables,
-        pair states and source positions). Any other exception, from a
-        verifier or a source, restores every snapshot on its way out, so it
-        leaves label() with the engine back in the state label() started
-        from; only the logs keep what happened. When a variable runs out of
-        present values and its definition domain is still open, one more
-        element is acquired before giving up on the node.
+        While label() runs, every change to the sets, the set constraints,
+        the pairs, the bindings and the source positions is recorded on one
+        undo trail; a failed branch undoes the changes made since its node
+        began. Any other exception, from a verifier or a source, undoes
+        every node on its way out, so it leaves label() with the engine back
+        in the state label() started from; only the logs keep what
+        happened. When a variable runs out of present values and its
+        definition domain is still open, one more element is acquired
+        before giving up on the node. The search recurses once per variable
+        it assigns.
 
         Returns {var id: element} or None when the search space is exhausted.
+        Raises ValueError for an unknown variable id.
         """
-        order = ([self.variables[v] for v in variables]
+        order = ([self.variable(v) for v in variables]
                  if variables is not None else list(self.variables))
-        self._search_depth += 1
+        self.isets.trail = []
         try:
             return self._label(order, 0)
         finally:
-            self._search_depth -= 1
+            self.isets.trail = None
 
     def _label(self, order: list, index: int) -> "dict | None":
         if index == len(order):
@@ -540,6 +577,7 @@ class Engine:
     def _bind(self, var: FdVariable, value: Element) -> None:
         for e in [*(e for e in var.present if e != value), *var.candidates]:
             self._move(var, e, PairState.REMOVED)
+        self.isets.trail.append((setattr, var, "bound_to", var.bound_to))
         var.bound_to = value
         self._revise([var])
         self.kac_fixpoint()
@@ -602,26 +640,14 @@ class Engine:
     # ------------------------------------------------------------------
     # snapshots (search only; taken at quiescence)
 
-    def _snapshot(self):
+    def _snapshot(self) -> int:
+        """A mark on the undo trail."""
         if self.isets.queue or self.graph.nodes:
             raise AssertionError("snapshot requires a quiescent engine")
-        return (
-            self.isets.get_state(),
-            [(list(v.present), list(v.removed), list(v.candidates),
-              dict(v.states), v.bound_to) for v in self.variables],
-            {i: s.get_state() for i, s in self._sources.items()},
-        )
+        return self.isets.get_state()
 
-    def _restore(self, snapshot) -> None:
-        iset_state, var_states, source_states = snapshot
-        self.isets.set_state(iset_state)
-        for var, (present, removed, candidates, states, bound) in zip(
-                self.variables, var_states):
-            var.present = list(present)
-            var.removed = list(removed)
-            var.candidates = deque(candidates)
-            var.states = dict(states)
-            var.bound_to = bound
-        for i, s in source_states.items():
-            self._sources[i].set_state(s)
+    def _restore(self, mark: int) -> None:
+        """Undo every change recorded since the mark was taken, and drop
+        the support graph of a check that an exception interrupted."""
+        self.isets.set_state(mark)
         self.graph.clear()

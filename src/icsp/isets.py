@@ -78,6 +78,11 @@ class IsetConstraint:
     Handlers must be idempotent: activation replays history on posting, and
     an event queued before posting will reach the constraint a second time
     when it is drained.
+
+    A constraint that keeps mutable state of its own must record how to
+    undo each change with store.record(undo, *args), as Union does for its
+    pending list, so that search can take the change back when it
+    backtracks.
     """
 
     def isets(self) -> tuple:
@@ -100,13 +105,6 @@ class IsetConstraint:
         for i in self.distinct_isets():
             if store.is_closed(i):
                 self.on_closed(store, i)
-
-    # Per-constraint mutable state, captured by engine snapshots.
-    def get_state(self):
-        return None
-
-    def set_state(self, state) -> None:
-        pass
 
 
 class Member(IsetConstraint):
@@ -234,11 +232,13 @@ class Union(IsetConstraint):
             store.ensure_member(self.a, element)
         elif element not in self.pending:
             self.pending.append(element)
+            store.record(self.pending.pop)
 
     def on_closed(self, store, iset):
         if iset not in (self.a, self.b):
             return
         pending, self.pending = self.pending, []
+        store.record(setattr, self, "pending", pending)
         for e in pending:
             self._settle(store, e)
         if store.is_closed(self.a) and store.is_closed(self.b):
@@ -253,12 +253,6 @@ class Union(IsetConstraint):
             for e in store.known_in_order(self.b):
                 store.ensure_member(self.c, e)
             store.close(self.c)
-
-    def get_state(self):
-        return list(self.pending)
-
-    def set_state(self, state):
-        self.pending = list(state) if state else []
 
     def __repr__(self):
         return f"Union(s{self.a}, s{self.b}, s{self.c})"
@@ -313,6 +307,12 @@ class IsetStore:
     """Owns every iset, the posted set constraints, and the event queue.
 
     Single-threaded: one store per engine, externally serialized.
+
+    While trail is a list (the engine's search keeps one), every change to
+    an iset or to a constraint's own state appends its inverse to it as a
+    record (undo, *args); get_state() marks the trail and set_state(mark)
+    undoes every change recorded since. Outside search trail is None and
+    nothing is recorded.
     """
 
     def __init__(self, trace: "list | None" = None):
@@ -322,6 +322,7 @@ class IsetStore:
         self.queue: deque = deque()
         # Shared, append-only event trace (the engine passes its own list in).
         self.trace = trace if trace is not None else []
+        self.trail: "list | None" = None
 
     # ------------------------------------------------------------------
     # creation and state access
@@ -375,6 +376,8 @@ class IsetStore:
         if not s.open:
             raise Inconsistency(f"{element!r} cannot enter closed set {s.name}")
         s.known[element] = None
+        if self.trail is not None:
+            self.trail.append((s.known.pop, element))
         self.queue.append(Inserted(iset, element))
         self.trace.append(("INSERT", s.name, element))
         return True
@@ -385,6 +388,7 @@ class IsetStore:
         if not s.open:
             return False
         s.open = False
+        self.record(setattr, s, "open", True)
         self.queue.append(Closed(iset))
         self.trace.append(("CLOSE", s.name))
         return True
@@ -426,21 +430,24 @@ class IsetStore:
         return drained
 
     # ------------------------------------------------------------------
-    # snapshot support for search
+    # the undo trail (search only)
 
-    def get_state(self):
-        return (
-            [(dict(s.known), s.open) for s in self._isets],
-            [c.get_state() for c in self._constraints],
-        )
+    def record(self, undo, *args) -> None:
+        """Record that undo(*args) takes back a change just made, if a
+        trail is being kept."""
+        if self.trail is not None:
+            self.trail.append((undo, *args))
 
-    def set_state(self, state) -> None:
-        iset_states, constraint_states = state
-        if len(iset_states) != len(self._isets):
-            raise ValueError("snapshot does not match store shape")
-        for s, (known, open_) in zip(self._isets, iset_states):
-            s.known = dict(known)
-            s.open = open_
-        for c, cs in zip(self._constraints, constraint_states):
-            c.set_state(cs)
+    def get_state(self) -> int:
+        """A mark on the trail, for set_state to undo back to; only while
+        a trail is kept."""
+        return len(self.trail)
+
+    def set_state(self, mark: int) -> None:
+        """Undo, newest first, every change recorded since get_state()
+        returned mark, and drop any queued events."""
+        trail = self.trail
+        while len(trail) > mark:
+            undo, *args = trail.pop()
+            undo(*args)
         self.queue.clear()

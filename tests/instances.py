@@ -76,6 +76,23 @@ def pair_place_errors(engine):
     return errors
 
 
+def engine_state(engine):
+    """A full copy of everything search must restore when it backtracks:
+    each variable's present, removed and candidate lists in order, its pair
+    states and its binding; each iset's known part in order and its open
+    flag; each Union's pending list; and each source's position. Search
+    used to take this copy at every node; the undo trail is checked
+    against it."""
+    store = engine.isets
+    return (
+        [(list(v.present), list(v.removed), list(v.candidates), dict(v.states),
+          v.bound_to) for v in engine.variables],
+        [(list(s.known), s.open) for s in store._isets],
+        [list(c.pending) for c in store._constraints if isinstance(c, Union)],
+        {i: s.get_state() for i, s in engine._sources.items()},
+    )
+
+
 def audit_transitions(engine):
     """Every propagation-phase transition must be one of the four legal moves."""
     bad = [t for t in engine.transitions

@@ -19,9 +19,10 @@ SEED = 20261017
 
 
 def run_traced(tracer, name):
-    """Run instance 1 of a workload (instance 0 is a recursion-limit case)
-    through the tracer, as a traced benchmark pass does, and return the
-    metric values it adds."""
+    """Run instance 1 of a workload (instance 0 of lazy_chain and
+    closed_search is a long chain, slow to run here) through the tracer,
+    as a traced benchmark pass does, and return the metric values it
+    adds."""
     workload = workloads.WORKLOADS[name]
     instance = workload.instances(SEED, 2)[1]
     before = {k: v for k, (v, _unit) in tracer.layer_metrics().items()}

@@ -1,5 +1,6 @@
-"""Search tests: depth-first labeling over present values with snapshot
-restore, plus acquisition of extra elements at a search node."""
+"""Search tests: depth-first labeling over present values, undone through
+the trail on backtracking, plus acquisition of extra elements at a search
+node."""
 
 import pytest
 
@@ -49,6 +50,38 @@ def test_label_closed_empty_domain_is_exhausted():
     d = eng.new_iset([], open=False)
     v = eng.new_fd_variable(d)
     assert eng.label([v]) is None
+
+
+@pytest.mark.parametrize("vid", [-1, 2, 5])
+def test_label_rejects_an_unknown_variable_id(vid):
+    # -1 would label the last variable, and 5 is past the end.
+    eng = Engine()
+    d = eng.new_iset([3, 4], open=False)
+    eng.new_fd_variable(d, name="x")
+    eng.new_fd_variable(d, name="y")
+    assert eng.solve() is True
+    with pytest.raises(ValueError):
+        eng.label([vid])
+    assert eng.isets.trail is None
+    assert all(v.bound_to is None for v in eng.variables)
+
+
+def test_label_keeps_a_trail_only_while_it_runs():
+    eng, (a, y, z, w) = gated_triangle()
+    assert eng.isets.trail is None
+    assert eng.solve() is True
+    assert eng.isets.trail is None  # solve() records nothing
+    trails = []
+    fixpoint = eng.kac_fixpoint
+
+    def watched():
+        trails.append(eng.isets.trail)
+        fixpoint()
+
+    eng.kac_fixpoint = watched
+    assert eng.label([a, y, z, w]) is not None
+    assert trails and all(t is not None for t in trails)
+    assert eng.isets.trail is None
 
 
 def test_label_two_variable_equality():
@@ -180,6 +213,7 @@ def test_label_interrupted_by_a_raising_verifier_restores_its_entry_state():
     with pytest.raises(TypeError):
         eng.label()
     assert not armed  # the verifier did raise inside label()
+    assert eng.isets.trail is None
     assert all(eng.variable(v).bound_to is None for v in (x, y))
     assert {v: eng.present(v) for v in (x, y)} == before
     assert engine_kac_holds(eng)

@@ -130,6 +130,20 @@ def test_acquire_on_closed_set_is_a_usage_error():
         eng.acquire(d)
 
 
+@pytest.mark.parametrize("requesting_var", [-1, 1])
+def test_acquire_for_an_unknown_variable_is_a_usage_error(requesting_var):
+    # -1 would name the last variable, and 1 is past the end.
+    eng = Engine()
+    d = eng.new_iset(name="d")
+    source = ScriptedSource([4])
+    eng.register_source(d, source)
+    eng.new_fd_variable(d, name="x")
+    with pytest.raises(ValueError):
+        eng.acquire(d, requesting_var=requesting_var)
+    assert source.calls_served() == 0
+    assert eng.acquisitions == []
+
+
 def test_range_source_counts_then_closes():
     eng = Engine()
     d = eng.new_iset(name="d")

@@ -1,0 +1,135 @@
+"""The undo trail restores exactly what a full copy would.
+
+Every snapshot label() takes is checked against instances.engine_state, the
+full copy of the engine that search used to take at each node: after each
+restore the state must equal the copy taken at the matching snapshot.
+"""
+
+import random
+from collections import Counter
+
+from icsp import Engine, ScriptedSource, Union
+from icsp.oracle import build_engine
+
+from instances import (
+    engine_kac_holds,
+    engine_state,
+    pair_place_errors,
+    random_closed_csp,
+    random_nary_closed_csp,
+    random_open_engine,
+)
+
+
+PARTS = ("variables", "isets", "pending", "sources")  # engine_state's parts
+
+
+class UndoAudit:
+    """Wraps an engine's _snapshot/_restore. Each snapshot saves a full
+    copy of the state under its mark; each restore compares the state it
+    leaves with the copy saved at that mark, and counts in undone which
+    parts of the state it had to change. Snapshots a successful branch
+    abandons are dropped when an older mark is restored."""
+
+    def __init__(self, engine):
+        self.saved = []  # (mark, state), oldest first
+        self.undone: Counter = Counter()
+        self.errors = []
+        snapshot, restore = engine._snapshot, engine._restore
+
+        def audited_snapshot():
+            mark = snapshot()
+            self.saved.append((mark, engine_state(engine)))
+            return mark
+
+        def audited_restore(mark):
+            before = engine_state(engine)
+            restore(mark)
+            while self.saved[-1][0] > mark:
+                self.saved.pop()
+            saved_mark, state = self.saved.pop()
+            self.undone.update(part for part, was, now in zip(PARTS, before, state)
+                               if was != now)
+            if saved_mark != mark:
+                self.errors.append(f"restored mark {mark}, innermost is {saved_mark}")
+            elif engine_state(engine) != state:
+                self.errors.append(f"restore to mark {mark} left a different state")
+
+        engine._snapshot = audited_snapshot
+        engine._restore = audited_restore
+
+
+def label_audited(engine, variables=None):
+    audit = UndoAudit(engine)
+    result = engine.label(variables)
+    assert audit.errors == []
+    assert engine.isets.trail is None
+    assert pair_place_errors(engine) == []
+    return result, audit
+
+
+def test_restores_are_exact_on_random_closed_csps():
+    undone: Counter = Counter()
+    for seed in range(400):
+        rng = random.Random(700_000 + seed)
+        csp = random_nary_closed_csp(rng) if seed % 2 else random_closed_csp(rng)
+        engine, _ids = build_engine(csp)
+        if not engine.solve():
+            continue
+        before = engine_state(engine)
+        result, audit = label_audited(engine)
+        undone += audit.undone
+        if result is None:
+            assert engine_state(engine) == before, f"seed {seed}"
+    assert undone["variables"] > 50
+
+
+def test_restores_are_exact_when_label_acquires():
+    # Few random open instances acquire during label(); two thousand hold
+    # enough restores that rewind a source and shrink a set.
+    undone: Counter = Counter()
+    for seed in range(2000):
+        engine, var_ids = random_open_engine(random.Random(800_000 + seed))
+        if not engine.solve():
+            continue
+        result, audit = label_audited(engine, var_ids)
+        undone += audit.undone
+        if result is not None:
+            assert engine_kac_holds(engine)
+    assert undone["sources"] >= 10 and undone["isets"] >= 10
+
+
+def test_restores_undo_union_pending_edits_made_in_search():
+    # x ranges over c = a ∪ b and u over a, with a, b and c open, so an
+    # element acquired into c is pending on the union until a closes. g is
+    # labelled first; under g = 0 the gated triangle y, z, w has no
+    # solution, so every branch below fails: u exhausts a's source, which
+    # closes a and settles the pending elements into b, and x acquires 5
+    # and 6 into c, which go straight to b, until c's source is exhausted
+    # too. Restoring g's node must reopen a and c, empty b and put the
+    # pending list back. g = 1 then succeeds with x's first value.
+    engine = Engine()
+    g = engine.new_fd_variable(engine.new_iset([0, 1], open=False, name="dg"), name="g")
+    a, b = engine.new_iset([3], name="a"), engine.new_iset(name="b")
+    c = engine.new_iset([1], name="c")
+    engine.post_iset_constraint(Union(a, b, c))
+    engine.register_source(a, ScriptedSource([]))
+    engine.register_source(c, ScriptedSource([5, 6]))
+    x = engine.new_fd_variable(c, name="x")
+    u = engine.new_fd_variable(a, name="u")
+    dom = engine.new_iset([1, 2], open=False, name="d")
+    y, z, w = (engine.new_fd_variable(dom, name=n) for n in "yzw")
+    gate = lambda t: t[0] == 1 or t[1] != t[2]
+    for p, q in ((y, z), (z, w), (y, w)):
+        engine.post_fd_constraint("gate", [g, p, q], gate)
+    assert engine.solve() is True
+    union = engine.isets._constraints[0]
+    assert union.pending == [1]
+    solution, audit = label_audited(engine, [g, x, u, y, z, w])
+    assert solution[g] == 1 and solution[x] == 1
+    assert audit.undone["pending"] > 0
+    assert [e for iset, _var, e in engine.acquisitions if iset == c] == [5, 6, None]
+    assert union.pending == [1]
+    assert engine.known(a) == {3} and engine.known(b) == set()
+    assert engine.known(c) == {1, 3}
+    assert not (engine.is_closed(a) or engine.is_closed(c))

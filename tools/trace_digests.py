@@ -1,4 +1,5 @@
-"""Print one digest per benchmark workload of every instance's full record.
+"""Print one digest per benchmark workload of every instance's full record,
+and one per slot.
 
     python3 tools/trace_digests.py --seed 1
 
@@ -11,6 +12,10 @@ outcome plus the engine's trace, transition log and acquisition log; an
 instance that raises is recorded by its exception type alone. Two
 checkouts that print the same digests made the same choices on every
 instance: the same supports, removals and acquisitions in the same order.
+
+Instance i falls in slot i % SLOTS (bench/workloads.py), and each slot
+gets a short digest of its own instances' records, so a change confined to
+some slots, or to some instance families, shows which ones it touched.
 """
 
 from __future__ import annotations
@@ -49,15 +54,19 @@ def instance_record(workload, instance) -> "tuple[str, str | None]":
     return repr((outcome, logs)), None
 
 
-def workload_digest(workload, seed: int) -> "tuple[str, Counter]":
+def workload_digest(workload, seed: int, slots: int) -> "tuple[str, list, Counter]":
+    """The workload's digest, one digest per slot, and the crash counts."""
     total = hashlib.sha256()
+    per_slot = [hashlib.sha256() for _ in range(slots)]
     crashes: Counter = Counter()
     for instance in workload.instances(seed, workload.count):
         record, crash = instance_record(workload, instance)
         if crash is not None:
             crashes[crash] += 1
-        total.update(hashlib.sha256(record.encode()).digest())
-    return total.hexdigest()[:16], crashes
+        digest = hashlib.sha256(record.encode()).digest()
+        total.update(digest)
+        per_slot[instance.index % slots].update(digest)
+    return total.hexdigest()[:16], [d.hexdigest()[:8] for d in per_slot], crashes
 
 
 def main(argv=None) -> int:
@@ -66,13 +75,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True  # leave no cache files under bench/
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    from workloads import WORKLOADS
+    from workloads import SLOTS, WORKLOADS
 
     for name, workload in WORKLOADS.items():
-        digest, crashes = workload_digest(workload, args.seed)
+        digest, slots, crashes = workload_digest(workload, args.seed, SLOTS)
         crashed = ", ".join(f"{kind} x{n}" for kind, n in sorted(crashes.items()))
         print(f"{name} seed={args.seed} instances={workload.count} "
               f"digest={digest} crashed=[{crashed}]")
+        print("  slots " + " ".join(f"{i}:{d}" for i, d in enumerate(slots)))
     return 0
 
 
