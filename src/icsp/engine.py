@@ -104,7 +104,7 @@ class Engine:
         return vid
 
     def variable(self, vid: int) -> FdVariable:
-        if not 0 <= vid < len(self.variables):
+        if not isinstance(vid, int) or not 0 <= vid < len(self.variables):
             raise ValueError(f"unknown variable id {vid!r}")
         return self.variables[vid]
 
@@ -130,18 +130,23 @@ class Engine:
         present are not re-checked against later constraints.
 
         Posting builds the constraint's arcs in one pass, one per distinct
-        argument variable w: the tuple (constraint, w, others, residues).
-        others holds the other distinct argument variables, the ones a
-        support for a value of w must assign, in the order of every support
-        tuple; it is laid out once here instead of at every seek and
-        revision. residues maps a value of w to the all-present support
-        that search's revise found for it last: a hint, sound to reuse
-        while every value in it is still present, so it needs no undo when
-        search backtracks. Arcs are plain tuples because posting builds
-        one per argument, and a class instance costs several times as much
-        to create. Support seeking walks the arcs on a variable; revise
-        walks, from a variable that lost values, the arcs of the same
-        constraints towards the other variables.
+        argument variable w: the tuple
+        (constraint, w, others, residues, k, spread). others holds the
+        other distinct argument variables, the ones a support for a value
+        of w must assign, in the order of every support tuple; it is laid
+        out once here instead of at every seek and revision. residues maps
+        a value of w to the all-present support that search's revise found
+        for it last: a hint, sound to reuse while every value in it is
+        still present, so it needs no undo when search backtracks. k is
+        w's position among the distinct arguments, where a value of w is
+        inserted into a support, and spread is the constraint's map from
+        arguments to distinct arguments, None when no argument repeats:
+        together they lay out a ground tuple without searching the
+        arguments (see _find_tuple). Arcs are plain tuples because posting
+        builds one per argument, and a class instance costs several times
+        as much to create. Support seeking walks the arcs on a variable;
+        revise walks, from a variable that lost values, the arcs of the
+        same constraints towards the other variables.
         """
         for vid in args:
             self.variable(vid)
@@ -154,7 +159,8 @@ class Engine:
         self._fd_constraints.append(constraint)
         distinct, arcs, variables = constraint.distinct_args(), {}, self.variables
         for k, w in enumerate(distinct):
-            arcs[w] = arc = (constraint, w, distinct[:k] + distinct[k + 1:], {})
+            arcs[w] = arc = (constraint, w, distinct[:k] + distinct[k + 1:], {},
+                             k, constraint.spread)
             variables[w].arcs.append(arc)
         self._arcs.append(arcs)
         return cid
@@ -334,8 +340,8 @@ class Engine:
         reaches a tuple mixing present and observed values first (possible
         from arity 3), and the reliance arcs and RELY entries would change.
         """
-        constraint, _, others, _ = arc
-        support = self._find_or_acquire(var, element, constraint, others)
+        constraint, _, others, _, _, _ = arc
+        support = self._find_or_acquire(element, arc)
         if support is None:
             return None
         supporters = [
@@ -354,13 +360,13 @@ class Engine:
         self.graph.set_supporters((var.id, element), constraint.id, supporters)
         return newly
 
-    def _find_or_acquire(self, var: FdVariable, element: Element,
-                         constraint: FdConstraint, others: tuple) -> "tuple | None":
-        """The first satisfying tuple over the known values of others, each
-        one's pool ordered present, then observed, then candidates
-        (insertion order within a class). When none exists, one element is
-        acquired for the first other variable with an open domain and the
-        search resumes; with every other domain closed there is none.
+    def _find_or_acquire(self, element: Element, arc: tuple) -> "tuple | None":
+        """The first satisfying support on the arc over the known values of
+        its others, each one's pool ordered present, then observed, then
+        candidates (insertion order within a class). When none exists, one
+        element is acquired for the first other variable with an open
+        domain and the search resumes; with every other domain closed there
+        is none.
 
         Resuming is exact: an acquisition only appends candidates to the
         pools, so every tuple of old elements already failed, and the next
@@ -368,10 +374,11 @@ class Engine:
         an exhausted reply, none). Its first success is the tuple a full
         re-enumeration would reach first.
         """
+        constraint, _, others, _, _, _ = arc
         pools = self._pools(others, present_only=False)
         fresh = None
         while True:
-            support = self._find_tuple(var, element, constraint, pools, fresh)
+            support = self._find_tuple(element, arc, pools, fresh)
             if support is not None:
                 return support
             for w in others:
@@ -400,21 +407,43 @@ class Engine:
                               *wvar.candidates])
         return pools
 
-    def _find_tuple(self, var: FdVariable, element: Element,
-                    constraint: FdConstraint, pools: list,
+    def _find_tuple(self, element: Element, arc: tuple, pools: list,
                     fresh: "set | None" = None) -> "tuple | None":
-        """First satisfying assignment of the other variables in
-        lexicographic order over their pools, the pair's element fixed at
-        every occurrence of its variable. Returns the elements ordered as
-        the others of the pair's arc, or None. With fresh given, only tuples
-        holding at least one of its elements are verified."""
+        """First satisfying assignment of the arc's others in lexicographic
+        order over their pools, the element fixed at every occurrence of
+        the arc's variable. Returns the elements ordered as the others, or
+        None. With fresh given, only tuples holding at least one of its
+        elements are verified.
+
+        Each ground list is built once, in argument order, for the one
+        verify call it goes to. A binary arc without repeated arguments
+        loops over its single pool and tests [element, x] or [x, element];
+        any other arc inserts the element at its position k among the
+        others and, when an argument repeats, spreads the distinct values
+        over the arguments. verify is looked up on the constraint at every
+        call, so a wrapper installed on it after posting sees every test."""
         if fresh is not None and not fresh:
             return None
-        vid, verify, values = var.id, constraint.verify, constraint.values
+        constraint, _, _, _, k, spread = arc
+        verify = constraint.verify
+        if spread is None and len(pools) == 1:
+            pool = pools[0] if fresh is None else [x for x in pools[0] if x in fresh]
+            if k:
+                for x in pool:
+                    if verify([x, element]):
+                        return (x,)
+            else:
+                for x in pool:
+                    if verify([element, x]):
+                        return (x,)
+            return None
         for support in product(*pools):
             if fresh is not None and fresh.isdisjoint(support):
                 continue
-            if verify(values(vid, element, support)):
+            values = [*support[:k], element, *support[k:]]
+            if spread is not None:
+                values = [values[i] for i in spread]
+            if verify(values):
                 return support
         return None
 
@@ -613,8 +642,9 @@ class Engine:
             lost = len(variables[vid].removed)
             unchanged = seen.get(vid) == lost
             seen[vid] = lost
-            for c, _, _, _ in variables[vid].arcs:
-                for constraint, w, others, residues in arcs[c.id].values():
+            for c, _, _, _, _, _ in variables[vid].arcs:
+                for arc in arcs[c.id].values():
+                    _, w, others, residues, _, _ = arc
                     if w == vid or (unchanged and len(others) == 1):
                         continue
                     wvar = variables[w]
@@ -630,7 +660,7 @@ class Engine:
                                 continue  # every value of the residue is present
                         if pools is None:
                             pools = self._pools(others, present_only=True)
-                        support = self._find_tuple(wvar, e, constraint, pools)
+                        support = self._find_tuple(e, arc, pools)
                         if support is None:
                             self._move(wvar, e, PairState.REMOVED)
                             work.append(w)

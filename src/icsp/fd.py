@@ -80,7 +80,9 @@ class FdConstraint:
 
     The verifier must be total and deterministic over ground tuples of the
     constraint's arity. Arguments may repeat a variable; verification
-    substitutes the same element at every occurrence.
+    substitutes the same element at every occurrence. The engine lays out
+    each ground tuple itself, per arc (see Engine.post_fd_constraint), and
+    hands it to verify as a list built for that one call.
     """
 
     def __init__(self, cid: int, name: str, args: Sequence[int],
@@ -94,27 +96,27 @@ class FdConstraint:
         self._distinct = tuple(dict.fromkeys(self.args))
         # Position in distinct_args() of each argument; None when no
         # argument repeats, so a tuple over distinct_args() is the values.
-        self._spread = (None if len(self._distinct) == len(self.args)
-                        else tuple(map(self._distinct.index, self.args)))
+        self.spread = (None if len(self._distinct) == len(self.args)
+                       else tuple(map(self._distinct.index, self.args)))
 
     def distinct_args(self) -> tuple:
         """The argument variables without repeats, in first-occurrence order."""
         return self._distinct
 
-    def values(self, vid: int, element: Element, others: tuple) -> Sequence:
-        """The ground tuple with element at every occurrence of vid and the
-        values in others (ordered as distinct_args() without vid)
-        everywhere else."""
-        k = self._distinct.index(vid)
-        full = others[:k] + (element,) + others[k:]
-        return full if self._spread is None else [full[i] for i in self._spread]
-
     def verify(self, values: Sequence[Element]) -> bool:
+        """Check one ground tuple, in argument order, against the verifier.
+
+        Every tuple test goes through here, so a wrapper installed on the
+        instance sees them all. A list reaches the verifier as it is, not
+        copied: the engine builds a new one for every call and never reads
+        it again. Any other sequence is copied into a list first."""
         if len(values) != len(self.args):
             raise ValueError(
                 f"{self.name} expects {len(self.args)} values, got {len(values)}"
             )
-        return bool(self.verifier(list(values)))
+        if type(values) is not list:
+            values = list(values)
+        return bool(self.verifier(values))
 
     def __repr__(self):
         return f"FdConstraint({self.name}/{len(self.args)})"

@@ -94,6 +94,17 @@ def test_builtin_arity_checked_at_post():
         eng.post_fd_constraint("no_such_thing", [v, v])
 
 
+@pytest.mark.parametrize("vid", [-1, 1, "x", 0.0])
+def test_unknown_variable_id_is_a_usage_error(vid):
+    eng = Engine()
+    v = eng.new_fd_variable(eng.new_iset([1]))
+    with pytest.raises(ValueError):
+        eng.variable(vid)
+    with pytest.raises(ValueError):
+        eng.post_fd_constraint("lt", [v, vid])
+    assert eng.fd_constraints() == []
+
+
 def test_duplicate_def_domain_rejected():
     eng = Engine()
     d1 = eng.new_iset()

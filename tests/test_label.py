@@ -52,9 +52,10 @@ def test_label_closed_empty_domain_is_exhausted():
     assert eng.label([v]) is None
 
 
-@pytest.mark.parametrize("vid", [-1, 2, 5])
+@pytest.mark.parametrize("vid", [-1, 2, 5, "x", 0.0])
 def test_label_rejects_an_unknown_variable_id(vid):
-    # -1 would label the last variable, and 5 is past the end.
+    # -1 would label the last variable, and 5 is past the end; a string or
+    # a float is no id at all.
     eng = Engine()
     d = eng.new_iset([3, 4], open=False)
     eng.new_fd_variable(d, name="x")

@@ -130,9 +130,10 @@ def test_acquire_on_closed_set_is_a_usage_error():
         eng.acquire(d)
 
 
-@pytest.mark.parametrize("requesting_var", [-1, 1])
+@pytest.mark.parametrize("requesting_var", [-1, 1, "x", 0.0])
 def test_acquire_for_an_unknown_variable_is_a_usage_error(requesting_var):
-    # -1 would name the last variable, and 1 is past the end.
+    # -1 would name the last variable, and 1 is past the end; a string or a
+    # float is no id at all.
     eng = Engine()
     d = eng.new_iset(name="d")
     source = ScriptedSource([4])

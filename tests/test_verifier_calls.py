@@ -1,0 +1,228 @@
+"""What verifiers receive: the lists, their order, and who sees each call.
+
+Every builder below posts constraints whose seeking variable sits at each
+argument position in turn: binary [x, y] (both arcs of a binary
+constraint), the repeated layouts [a, a, b], [a, b, a] and [b, a, a], a
+ternary sum_eq_const, and seeded random instances. Several of them seek
+over an open domain, so a seek resumes after an acquisition and verifies
+only tuples that hold a fresh element.
+
+The call-sequence digest covers every list passed to a verifier, in order,
+with its constraint, plus each instance's outcome. It was taken before the
+engine built its tuples per arc, and pins the enumeration order and the
+fresh filter beyond what the pinned traces see: a tuple verified in vain
+leaves no trace entry.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from icsp import Engine, Inconsistency, RangeSource, ScriptedSource
+
+from instances import random_nary_closed_csp, random_open_engine
+
+
+def closed(engine, name, elements):
+    return engine.new_fd_variable(engine.new_iset(elements, open=False, name="d" + name),
+                                  name=name)
+
+
+def scripted(engine, name, known, script):
+    iset = engine.new_iset(known, name="d" + name)
+    engine.register_source(iset, ScriptedSource(script))
+    return engine.new_fd_variable(iset, name=name)
+
+
+def binary():
+    """lt [x, y] and gt [y, w]: x's first values have no support in closed
+    y, and y's seeks against w acquire until w supplies one."""
+    engine = Engine()
+    x = scripted(engine, "x", [8], [9, 1, 6, 2])
+    y = closed(engine, "y", [3, 5, 7])
+    w = scripted(engine, "w", [7], [8, 4, 2, 6])
+    engine.post_fd_constraint("lt", [x, y])
+    engine.post_fd_constraint("gt", [y, w])
+    engine.post_fd_constraint("ne", [w, x])
+    return engine
+
+
+def repeated(layout):
+    """sum_eq_const:5 over a layout of a (closed) and b (open) with a
+    repeated: b's missing values are acquired while a's values seek."""
+    def build():
+        engine = Engine()
+        a = closed(engine, "a", [0, 1, 2, 3])
+        b = scripted(engine, "b", [5], [3, 1, 4, 0])
+        engine.post_fd_constraint("sum_eq_const:5", [{"a": a, "b": b}[v] for v in layout])
+        engine.post_fd_constraint("ne", [b, a])
+        return engine
+
+    return build
+
+
+def ternary():
+    """sum_eq_const:9 over p (closed), q and r (open, r empty at first):
+    p's first seek acquires into q until q runs dry, then into r."""
+    engine = Engine()
+    p = closed(engine, "p", [1, 2, 3])
+    q = scripted(engine, "q", [0], [4, 2])
+    r = engine.new_fd_variable(engine.new_iset(name="dr"), name="r")
+    engine.register_source(engine.variable(r).def_domain, RangeSource(0, 6))
+    engine.post_fd_constraint("sum_eq_const:9", [p, q, r])
+    engine.post_fd_constraint("ne", [r, p])
+    return engine
+
+
+def open_chain():
+    """An lt chain over open domains fed by shuffled scripts."""
+    rng = random.Random(3)
+    engine = Engine()
+    ids = []
+    for i in range(5):
+        values = rng.sample(range(8), 8)
+        ids.append(scripted(engine, f"x{i}", values[:1], values[1:]))
+    for a, b in zip(ids, ids[1:]):
+        engine.post_fd_constraint("lt", [a, b])
+    return engine
+
+
+def nary_closed(seed):
+    csp = random_nary_closed_csp(random.Random(seed))
+    engine = Engine()
+    ids = {key: closed(engine, key, dom) for key, dom in csp.domains.items()}
+    for name, args, verifier in csp.constraints:
+        engine.post_fd_constraint(name, [ids[a] for a in args], verifier)
+    return engine
+
+
+def open_random(seed):
+    return random_open_engine(random.Random(seed))[0]
+
+
+BUILDERS = {
+    "binary": binary,
+    "repeated_aab": repeated("aab"),
+    "repeated_aba": repeated("aba"),
+    "repeated_baa": repeated("baa"),
+    "ternary": ternary,
+    "open_chain": open_chain,
+}
+SEEDED = {
+    **{f"nary_closed_{s}": (lambda s=s: nary_closed(s)) for s in range(12)},
+    **{f"open_random_{s}": (lambda s=s: open_random(s)) for s in range(12)},
+}
+
+
+def run(engine):
+    """solve() then label(), as the benchmark's verdicts do."""
+    consistent = engine.solve()
+    if not consistent:
+        return False, None
+    try:
+        return True, engine.label()
+    except Inconsistency as exc:  # the search may acquire its way into a failure
+        return True, ("inconsistent", str(exc))
+
+
+def recorded_calls(build):
+    """(outcome, calls) with calls every (constraint, type, values) a
+    verifier of the built engine received, in order."""
+    engine = build()
+    calls = []
+    for constraint in engine.fd_constraints():
+        def record(values, name=constraint.name, fn=constraint.verifier):
+            calls.append((name, type(values).__name__, tuple(values)))
+            return fn(values)
+
+        constraint.verifier = record
+    return run(engine), calls
+
+
+def test_verifier_call_sequence_is_pinned():
+    total = hashlib.sha256()
+    for name, build in {**BUILDERS, **SEEDED}.items():
+        outcome, calls = recorded_calls(build)
+        assert calls, name
+        total.update(repr((name, outcome, calls)).encode())
+    assert total.hexdigest()[:16] == "153187e93ab92ac7"
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_each_verifier_call_gets_a_fresh_list_in_argument_order(name):
+    engine = BUILDERS[name]()
+    received = []
+    for constraint in engine.fd_constraints():
+        def keep(values, args=constraint.args, fn=constraint.verifier):
+            received.append((args, values))
+            return fn(values)
+
+        constraint.verifier = keep
+    run(engine)
+    assert received
+    # Every list is still alive here, so distinct ids mean none was reused.
+    assert len({id(values) for _args, values in received}) == len(received)
+    for args, values in received:
+        assert type(values) is list and len(values) == len(args)
+        first = {}
+        for arg, x in zip(args, values):
+            assert first.setdefault(arg, x) == x  # one element per variable
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_a_verify_wrapper_installed_after_posting_sees_every_call(name):
+    """bench/tracing.py counts verifier calls by replacing each
+    constraint's verify on the instance once it is posted; that count must
+    equal the calls the verifier function itself receives."""
+    engine = BUILDERS[name]()
+    seen, received = {}, {}
+    for constraint in engine.fd_constraints():
+        cid, verify, verifier = constraint.id, constraint.verify, constraint.verifier
+        seen[cid] = received[cid] = 0
+
+        def wrapped(values, cid=cid, verify=verify):
+            seen[cid] += 1
+            return verify(values)
+
+        def counted(values, cid=cid, verifier=verifier):
+            received[cid] += 1
+            return verifier(values)
+
+        constraint.verify = wrapped
+        constraint.verifier = counted
+    run(engine)
+    assert seen == received
+    assert all(received.values())
+
+
+@pytest.mark.parametrize("name", ["binary", "repeated_aab", "repeated_baa", "ternary"])
+def test_a_verifier_that_clears_its_argument_changes_nothing(name):
+    def outcome(clearing):
+        engine = BUILDERS[name]()
+        if clearing:
+            for constraint in engine.fd_constraints():
+                def clear_after(values, fn=constraint.verifier):
+                    ok = fn(values)
+                    values.clear()
+                    return ok
+
+                constraint.verifier = clear_after
+        result = run(engine)
+        return (result, engine.trace,
+                [(list(v.present), list(v.removed)) for v in engine.variables])
+
+    assert outcome(clearing=True) == outcome(clearing=False)
+
+
+def test_verify_checks_the_arity_and_lists_any_other_sequence():
+    eng = Engine()
+    v = eng.new_fd_variable(eng.new_iset([1]))
+    seen = []
+    pair = eng.fd_constraint(
+        eng.post_fd_constraint("pair", [v, v], lambda t: seen.append(t) or True))
+    assert pair.verify((1, 2)) is True
+    assert seen == [[1, 2]] and type(seen[0]) is list
+    with pytest.raises(ValueError):
+        pair.verify([1])
+    assert len(seen) == 1

@@ -16,6 +16,11 @@ instance: the same supports, removals and acquisitions in the same order.
 Instance i falls in slot i % SLOTS (bench/workloads.py), and each slot
 gets a short digest of its own instances' records, so a change confined to
 some slots, or to some instance families, shows which ones it touched.
+
+Each workload line also gives verify_calls, the verifier calls made over
+all its instances. They are counted as bench/tracing.py counts them, by
+replacing each constraint's verify once it is posted, and are left out of
+the digests.
 """
 
 from __future__ import annotations
@@ -29,18 +34,35 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def instance_record(workload, instance) -> "tuple[str, str | None]":
+def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | None]":
     """(record, None) with the record of the instance's outcome and logs,
     or ("raised <type>", <type>) when it crashes. set_network builds its
     engine inside cli.run, so cli.Engine is swapped for a recording factory
-    while the instance runs."""
+    while the instance runs. Every verifier call adds one to
+    calls["verify"]."""
     from icsp import Engine, cli
 
     engines = []
 
     def new_engine():
-        engines.append(Engine())
-        return engines[-1]
+        engine = Engine()
+        post_fd_constraint = engine.post_fd_constraint
+
+        def post_counted(*args, **kwargs):
+            cid = post_fd_constraint(*args, **kwargs)
+            constraint = engine.fd_constraint(cid)
+            verify = constraint.verify
+
+            def counted(values):
+                calls["verify"] += 1
+                return verify(values)
+
+            constraint.verify = counted
+            return cid
+
+        engine.post_fd_constraint = post_counted
+        engines.append(engine)
+        return engine
 
     cli.Engine = new_engine
     try:
@@ -54,19 +76,22 @@ def instance_record(workload, instance) -> "tuple[str, str | None]":
     return repr((outcome, logs)), None
 
 
-def workload_digest(workload, seed: int, slots: int) -> "tuple[str, list, Counter]":
-    """The workload's digest, one digest per slot, and the crash counts."""
+def workload_digest(workload, seed: int, slots: int) -> "tuple[str, list, Counter, int]":
+    """The workload's digest, one digest per slot, the crash counts and the
+    verifier calls."""
     total = hashlib.sha256()
     per_slot = [hashlib.sha256() for _ in range(slots)]
     crashes: Counter = Counter()
+    calls: Counter = Counter()
     for instance in workload.instances(seed, workload.count):
-        record, crash = instance_record(workload, instance)
+        record, crash = instance_record(workload, instance, calls)
         if crash is not None:
             crashes[crash] += 1
         digest = hashlib.sha256(record.encode()).digest()
         total.update(digest)
         per_slot[instance.index % slots].update(digest)
-    return total.hexdigest()[:16], [d.hexdigest()[:8] for d in per_slot], crashes
+    return (total.hexdigest()[:16], [d.hexdigest()[:8] for d in per_slot], crashes,
+            calls["verify"])
 
 
 def main(argv=None) -> int:
@@ -78,10 +103,10 @@ def main(argv=None) -> int:
     from workloads import SLOTS, WORKLOADS
 
     for name, workload in WORKLOADS.items():
-        digest, slots, crashes = workload_digest(workload, args.seed, SLOTS)
+        digest, slots, crashes, verify_calls = workload_digest(workload, args.seed, SLOTS)
         crashed = ", ".join(f"{kind} x{n}" for kind, n in sorted(crashes.items()))
         print(f"{name} seed={args.seed} instances={workload.count} "
-              f"digest={digest} crashed=[{crashed}]")
+              f"digest={digest} crashed=[{crashed}] verify_calls={verify_calls}")
         print("  slots " + " ".join(f"{i}:{d}" for i, d in enumerate(slots)))
     return 0
 
