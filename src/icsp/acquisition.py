@@ -31,22 +31,12 @@ class AcquisitionSource:
     """Behavioral contract: next() returns a fresh element or None.
 
     None means exhausted; after reporting exhaustion for an iset a source
-    must keep reporting it. get_state/set_state let the engine rewind a
-    source together with the rest of the world during search backtracking:
-    before each acquisition made during label() the engine takes
-    get_state() and records it on its undo trail, and set_state(state)
-    puts the source back when search undoes that acquisition. Sources that
-    cannot rewind (interactive input) simply keep no state.
+    must keep reporting it. The engine keeps every reply that search undoes
+    and replays it, per iset and in order, before it calls the source again.
     """
 
     def next(self, iset: int, ctx: AcquisitionContext) -> "Element | None":
         raise NotImplementedError
-
-    def get_state(self):
-        return None
-
-    def set_state(self, state) -> None:
-        pass
 
 
 class ScriptedSource(AcquisitionSource):
@@ -62,12 +52,6 @@ class ScriptedSource(AcquisitionSource):
         element = self.elements[self._pos]
         self._pos += 1
         return element
-
-    def get_state(self):
-        return self._pos
-
-    def set_state(self, state):
-        self._pos = state
 
     def calls_served(self) -> int:
         return self._pos
@@ -91,12 +75,6 @@ class RangeSource(AcquisitionSource):
         self._next += 1
         return value
 
-    def get_state(self):
-        return self._next
-
-    def set_state(self, state):
-        self._next = state
-
     def __repr__(self):
         return f"RangeSource({self.lo}..{self.hi})"
 
@@ -106,8 +84,8 @@ class InteractiveSource(AcquisitionSource):
 
     A line parsing as an integer or a bare lowercase atom is an element;
     the literal line "none" (or end of input) means exhausted. Unparsable
-    lines are reported and re-prompted. No rewinding: consumed input stays
-    consumed across search backtracking.
+    lines are reported and re-prompted. Each line is read once: a reply
+    that search undoes is replayed by the engine, not asked for again.
     """
 
     def __init__(self, iset_name: str, input_stream=None, output_stream=None):

@@ -24,7 +24,7 @@ One engine instance is single-threaded; callers must serialize access.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -60,6 +60,8 @@ class Engine:
         self._arcs: list[dict[int, tuple]] = []
         self._links: dict[int, list[int]] = {}
         self._sources: dict[int, AcquisitionSource] = {}
+        # iset id -> the replies search undid, oldest first; see acquire
+        self._replays: defaultdict[int, deque] = defaultdict(deque)
 
     # ------------------------------------------------------------------
     # iset facade
@@ -97,6 +99,8 @@ class Engine:
 
     def new_fd_variable(self, def_domain: "int | None" = None, *,
                         name: "str | None" = None) -> int:
+        if def_domain is not None:
+            self.isets.name_of(def_domain)  # validates the id before appending
         vid = len(self.variables)
         self.variables.append(FdVariable(vid, name or f"v{vid}"))
         if def_domain is not None:
@@ -195,13 +199,20 @@ class Engine:
 
     def acquire(self, iset: int, *, requesting_var: "int | None" = None,
                 requesting_constraint: "str | None" = None) -> "Element | None":
-        """Ask the iset's source for one element and propagate the outcome.
+        """Take one reply for the iset and propagate the outcome.
 
-        Returns the inserted element, or None if the source is exhausted
-        (which closes the iset). An iset without a source is treated as
-        immediately exhausted. A source that repeats an element the iset
-        already knows is a contract violation and raises SourceContractError
-        rather than looping.
+        The reply is the oldest one waiting on the iset's replay queue, or
+        else the next one from its source. Returns the inserted element, or
+        None if the reply is exhaustion (which closes the iset). An iset
+        without a source is treated as immediately exhausted. A reply that
+        repeats an element the iset already knows is a contract violation
+        and raises SourceContractError rather than looping.
+
+        In search the trail records that undoing the acquisition puts its
+        reply back at the front of the replay queue, so a reply is asked of
+        the source once and outlives the branch that acquired it. The
+        record precedes the contract check, so a repeated element raises
+        again when it is replayed.
         """
         if self.isets.is_closed(iset):
             raise ValueError(f"cannot acquire for closed set {self.isets.name_of(iset)}")
@@ -213,10 +224,12 @@ class Engine:
             requesting_constraint=requesting_constraint,
             var_name=var_name,
         )
-        trail = self.isets.trail
-        if trail is not None and source is not None:
-            trail.append((source.set_state, source.get_state()))
-        element = source.next(iset, ctx) if source is not None else None
+        replay = self._replays[iset]
+        if replay:
+            element = replay.popleft()
+        else:
+            element = source.next(iset, ctx) if source is not None else None
+        self.isets.record(replay.appendleft, element)
         self.acquisitions.append((iset, requesting_var, element))
         self.trace.append(("ACQUIRE", self.isets.name_of(iset), element))
         if element is None:
@@ -544,15 +557,17 @@ class Engine:
         Values are tried in present-list order; committing to a value moves
         the variable's other present values to removed and re-propagates.
         While label() runs, every change to the sets, the set constraints,
-        the pairs, the bindings and the source positions is recorded on one
+        the pairs, the bindings and the replay queues is recorded on one
         undo trail; a failed branch undoes the changes made since its node
         began. Any other exception, from a verifier or a source, undoes
         every node on its way out, so it leaves label() with the engine back
-        in the state label() started from; only the logs keep what
-        happened. When a variable runs out of present values and its
-        definition domain is still open, one more element is acquired
-        before giving up on the node. The search recurses once per variable
-        it assigns.
+        in the state label() started from; only the logs and the replay
+        queues keep what happened. When a variable runs out of present
+        values and its definition domain is still open, one more element is
+        acquired before giving up on the node. An undone acquisition keeps
+        its reply for the next acquire on its iset (see acquire), so each
+        source is asked once per reply however often search backtracks.
+        The search recurses once per variable it assigns.
 
         Returns {var id: element} or None when the search space is exhausted.
         Raises ValueError for an unknown variable id.

@@ -80,16 +80,20 @@ def engine_state(engine):
     """A full copy of everything search must restore when it backtracks:
     each variable's present, removed and candidate lists in order, its pair
     states and its binding; each iset's known part in order and its open
-    flag; each Union's pending list; and each source's position. Search
-    used to take this copy at every node; the undo trail is checked
-    against it."""
+    flag; each Union's pending list; and each ScriptedSource's virtual
+    position: the elements it has served, less those waiting on the iset's
+    replay queue to be served again. A restore keeps the replies it undoes
+    for replay, so the virtual position is where a source rewound by the
+    restore would stand. Search used to take this copy at every node; the
+    undo trail is checked against it."""
     store = engine.isets
     return (
         [(list(v.present), list(v.removed), list(v.candidates), dict(v.states),
           v.bound_to) for v in engine.variables],
         [(list(s.known), s.open) for s in store._isets],
         [list(c.pending) for c in store._constraints if isinstance(c, Union)],
-        {i: s.get_state() for i, s in engine._sources.items()},
+        {i: s.calls_served() - sum(e is not None for e in engine._replays.get(i, ()))
+         for i, s in engine._sources.items() if isinstance(s, ScriptedSource)},
     )
 
 

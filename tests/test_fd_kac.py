@@ -114,6 +114,16 @@ def test_duplicate_def_domain_rejected():
         eng.def_domain(v, d2)
 
 
+def test_new_variable_over_an_unknown_iset_leaves_no_variable():
+    eng = Engine()
+    x = eng.new_fd_variable(eng.new_iset([1, 2], open=False), name="x")
+    with pytest.raises(ValueError):
+        eng.new_fd_variable(99)
+    assert len(eng.variables) == 1
+    assert eng.solve() is True
+    assert eng.label() == {x: 1}
+
+
 # ----------------------------------------------------------------------
 # the KAC loop
 

@@ -2,9 +2,11 @@
 the trail on backtracking, plus acquisition of extra elements at a search
 node."""
 
+import io
+
 import pytest
 
-from icsp import Engine, Intersection, PairState, ScriptedSource
+from icsp import Engine, InteractiveSource, Intersection, PairState, ScriptedSource
 
 from instances import engine_kac_holds, pair_place_errors
 
@@ -224,3 +226,31 @@ def test_label_interrupted_by_a_raising_verifier_restores_its_entry_state():
     assert eng.pair_state(x, 7) is PairState.PRESENT
     assert engine_kac_holds(eng)
     assert pair_place_errors(eng) == []
+
+
+def test_label_reads_each_typed_reply_once():
+    # Under g = 0 the gated ne triangle y, z, w over {1, 2} has no
+    # solution, so x's values 1, 5, 6 and 7 each fail there and x's input
+    # runs out. Backtracking out of g = 0 undoes those acquisitions but
+    # keeps their replies: g = 1 succeeds with x = 1, and the next acquire
+    # for x replays 5 without prompting again.
+    eng = Engine()
+    g = eng.new_fd_variable(eng.new_iset([0, 1], open=False, name="dg"), name="g")
+    dx = eng.new_iset([1], name="dx")
+    prompts = io.StringIO()
+    eng.register_source(dx, InteractiveSource("dx", io.StringIO("5\n6\n7\n"), prompts))
+    x = eng.new_fd_variable(dx, name="x")
+    dom = eng.new_iset([1, 2], open=False, name="d")
+    y, z, w = (eng.new_fd_variable(dom, name=n) for n in "yzw")
+    gate = lambda t: t[0] == 1 or t[1] != t[2]
+    for p, q in ((y, z), (z, w), (y, w)):
+        eng.post_fd_constraint("gate", [g, p, q], gate)
+    assert eng.solve() is True
+    solution = eng.label([g, x, y, z, w])
+    assert solution[g] == 1 and solution[x] == 1
+    assert [e for _iset, _var, e in eng.acquisitions] == [5, 6, 7, None]
+    assert prompts.getvalue().count("acquire dx") == 4  # once per reply
+    assert eng.known(dx) == {1} and not eng.is_closed(dx)
+    assert eng.acquire(dx, requesting_var=x) == 5
+    assert prompts.getvalue().count("acquire dx") == 4
+    assert eng.known(dx) == {1, 5}

@@ -1,9 +1,11 @@
 """Randomized invariant checks (compact versions; the acceptance module
 repeats the headline properties at their full instance counts)."""
 
+import hashlib
 import random
+from collections import Counter
 
-from icsp import PairState, resolve_verifier
+from icsp import Inconsistency, PairState, resolve_verifier
 from icsp.oracle import ClosedCsp, build_engine
 
 from instances import (
@@ -77,6 +79,39 @@ def test_acquisitions_bounded_by_supply():
             calls[iset] = calls.get(iset, 0) + 1
         for iset, n in calls.items():
             assert n <= supplies[iset] + 1  # +1 for the exhausted reply
+
+
+def test_label_calls_each_source_once_per_reply():
+    # Search keeps the replies of the acquisitions it undoes and replays
+    # them, so over solve() and label() together each source is called
+    # once per distinct element plus at most once for exhaustion. Replaying
+    # is exact: the digest of every outcome and acquisition log was taken
+    # when search rewound the sources instead.
+    record = hashlib.sha256()
+    labelled = 0
+    for seed in range(2000):
+        engine, var_ids = random_open_engine(random.Random(seed))
+        calls: Counter = Counter()
+        replies: dict = {}
+        for iset, source in engine._sources.items():
+            def counted(i, ctx, next_=source.next, iset=iset):
+                calls[iset] += 1
+                reply = next_(i, ctx)
+                replies.setdefault(iset, set()).add(reply)
+                return reply
+            source.next = counted
+        outcome = engine.solve()
+        if outcome:
+            labelled += 1
+            try:
+                outcome = engine.label(var_ids)
+            except Inconsistency as exc:  # search may acquire into a failure
+                outcome = ("inconsistent", str(exc))
+        record.update(repr((outcome, engine.acquisitions)).encode())
+        for iset, n in calls.items():
+            assert n <= len(replies[iset] - {None}) + 1, f"seed {seed}"
+    assert labelled == 903
+    assert record.hexdigest()[:16] == "dfdeebc157719888"
 
 
 def test_no_arc_ever_points_at_a_present_supporter():

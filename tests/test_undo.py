@@ -86,7 +86,7 @@ def test_restores_are_exact_on_random_closed_csps():
 
 def test_restores_are_exact_when_label_acquires():
     # Few random open instances acquire during label(); two thousand hold
-    # enough restores that rewind a source and shrink a set.
+    # enough restores that undo an acquisition and shrink a set.
     undone: Counter = Counter()
     for seed in range(2000):
         engine, var_ids = random_open_engine(random.Random(800_000 + seed))

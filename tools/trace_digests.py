@@ -17,10 +17,11 @@ Instance i falls in slot i % SLOTS (bench/workloads.py), and each slot
 gets a short digest of its own instances' records, so a change confined to
 some slots, or to some instance families, shows which ones it touched.
 
-Each workload line also gives verify_calls, the verifier calls made over
-all its instances. They are counted as bench/tracing.py counts them, by
-replacing each constraint's verify once it is posted, and are left out of
-the digests.
+Each workload line also gives verify_calls and source_calls, the verifier
+and source calls made over all its instances. They are counted as
+bench/tracing.py counts them, by replacing each constraint's verify once
+it is posted and each source's next as it is registered, and are left out
+of the digests.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
     or ("raised <type>", <type>) when it crashes. set_network builds its
     engine inside cli.run, so cli.Engine is swapped for a recording factory
     while the instance runs. Every verifier call adds one to
-    calls["verify"]."""
+    calls["verify"] and every source call one to calls["source"]."""
     from icsp import Engine, cli
 
     engines = []
@@ -60,7 +61,20 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
             constraint.verify = counted
             return cid
 
+        register_source = engine.register_source
+
+        def register_counted(iset, source):
+            next_ = source.next
+
+            def counted(*args):
+                calls["source"] += 1
+                return next_(*args)
+
+            source.next = counted
+            register_source(iset, source)
+
         engine.post_fd_constraint = post_counted
+        engine.register_source = register_counted
         engines.append(engine)
         return engine
 
@@ -76,9 +90,9 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
     return repr((outcome, logs)), None
 
 
-def workload_digest(workload, seed: int, slots: int) -> "tuple[str, list, Counter, int]":
+def workload_digest(workload, seed: int, slots: int) -> "tuple[str, list, Counter, Counter]":
     """The workload's digest, one digest per slot, the crash counts and the
-    verifier calls."""
+    verifier and source calls."""
     total = hashlib.sha256()
     per_slot = [hashlib.sha256() for _ in range(slots)]
     crashes: Counter = Counter()
@@ -90,8 +104,7 @@ def workload_digest(workload, seed: int, slots: int) -> "tuple[str, list, Counte
         digest = hashlib.sha256(record.encode()).digest()
         total.update(digest)
         per_slot[instance.index % slots].update(digest)
-    return (total.hexdigest()[:16], [d.hexdigest()[:8] for d in per_slot], crashes,
-            calls["verify"])
+    return total.hexdigest()[:16], [d.hexdigest()[:8] for d in per_slot], crashes, calls
 
 
 def main(argv=None) -> int:
@@ -103,10 +116,11 @@ def main(argv=None) -> int:
     from workloads import SLOTS, WORKLOADS
 
     for name, workload in WORKLOADS.items():
-        digest, slots, crashes, verify_calls = workload_digest(workload, args.seed, SLOTS)
+        digest, slots, crashes, calls = workload_digest(workload, args.seed, SLOTS)
         crashed = ", ".join(f"{kind} x{n}" for kind, n in sorted(crashes.items()))
         print(f"{name} seed={args.seed} instances={workload.count} "
-              f"digest={digest} crashed=[{crashed}] verify_calls={verify_calls}")
+              f"digest={digest} crashed=[{crashed}] verify_calls={calls['verify']} "
+              f"source_calls={calls['source']}")
         print("  slots " + " ".join(f"{i}:{d}" for i, d in enumerate(slots)))
     return 0
 
