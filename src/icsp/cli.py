@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .acquisition import InteractiveSource, RangeSource, ScriptedSource
 from .engine import Engine
-from .errors import SourceContractError
+from .errors import Inconsistency, SourceContractError
 from .fd import resolve_verifier
 from .isets import (
     Difference,
@@ -197,7 +197,10 @@ _ISETC_CLASSES = {
 
 
 def build(problem: ProblemFile) -> "tuple[Engine, dict]":
-    """Construct an engine from parsed directives, in file order."""
+    """Construct an engine from parsed directives, in file order.
+
+    A set constraint whose posting derives a contradiction does not stop
+    the build: the engine keeps the Inconsistency as its verdict."""
     engine = Engine()
     iset_ids: dict = {}
     var_ids: dict = {}
@@ -215,13 +218,15 @@ def build(problem: ProblemFile) -> "tuple[Engine, dict]":
         elif tag == "isetc":
             kind = directive[1]
             if kind == "member":
-                engine.post_iset_constraint(Member(directive[2], iset_ids[directive[3]]))
+                constraint = Member(directive[2], iset_ids[directive[3]])
             elif kind == "inclusion":
-                engine.post_iset_constraint(
-                    Inclusion(iset_ids[directive[2]], iset_ids[directive[3]]))
+                constraint = Inclusion(iset_ids[directive[2]], iset_ids[directive[3]])
             else:
-                cls = _ISETC_CLASSES[kind]
-                engine.post_iset_constraint(cls(*(iset_ids[n] for n in directive[2:])))
+                constraint = _ISETC_CLASSES[kind](*(iset_ids[n] for n in directive[2:]))
+            try:
+                engine.post_iset_constraint(constraint)
+            except Inconsistency:
+                pass  # the engine keeps it, and solve() reports it
         elif tag == "source":
             _, iset, kind, payload = directive
             if kind == "script":

@@ -62,6 +62,9 @@ class Engine:
         self._sources: dict[int, AcquisitionSource] = {}
         # iset id -> the replies search undid, oldest first; see acquire
         self._replays: defaultdict[int, deque] = defaultdict(deque)
+        # The first contradiction solve() caught or post_iset_constraint
+        # raised. It is final: nothing outside search is ever taken back.
+        self.inconsistency: "Inconsistency | None" = None
 
     # ------------------------------------------------------------------
     # iset facade
@@ -83,7 +86,14 @@ class Engine:
         return self.isets.is_closed(iset)
 
     def post_iset_constraint(self, constraint: IsetConstraint) -> None:
-        self.isets.post(constraint)
+        """Post a set constraint. An Inconsistency its activation derives is
+        kept as the engine's final verdict (see solve) and re-raised."""
+        try:
+            self.isets.post(constraint)
+        except Inconsistency as exc:
+            if self.inconsistency is None:
+                self.inconsistency = exc
+            raise
 
     def propagate_isets(self) -> None:
         """Drain set events to quiescence, then feed the drained insertions
@@ -248,12 +258,20 @@ class Engine:
     # the KAC procedure
 
     def solve(self) -> bool:
-        """Propagate to quiescence. True if consistent so far, False if not."""
-        try:
-            self.kac_fixpoint()
-            return True
-        except Inconsistency:
-            return False
+        """Propagate to quiescence. True if consistent so far, False if not.
+
+        A contradiction is final. Outside search no element, closure or
+        removal is ever taken back, so the first Inconsistency that solve()
+        catches, or that post_iset_constraint raises, is kept in
+        self.inconsistency, and every later solve() returns False at once
+        without propagating. The sets and pairs stay as the contradiction
+        left them, and are no longer kept known-arc-consistent."""
+        if self.inconsistency is None:
+            try:
+                self.kac_fixpoint()
+            except Inconsistency as exc:
+                self.inconsistency = exc
+        return self.inconsistency is None
 
     def kac_fixpoint(self) -> None:
         """Check candidates until quiescent, acquiring only when forced.
@@ -554,69 +572,79 @@ class Engine:
     def label(self, variables: "Sequence[int] | None" = None) -> "dict | None":
         """Depth-first search for a total assignment of the given variables.
 
-        Values are tried in present-list order; committing to a value moves
-        the variable's other present values to removed and re-propagates.
-        While label() runs, every change to the sets, the set constraints,
-        the pairs, the bindings and the replay queues is recorded on one
-        undo trail; a failed branch undoes the changes made since its node
-        began. Any other exception, from a verifier or a source, undoes
-        every node on its way out, so it leaves label() with the engine back
-        in the state label() started from; only the logs and the replay
-        queues keep what happened. When a variable runs out of present
-        values and its definition domain is still open, one more element is
-        acquired before giving up on the node. An undone acquisition keeps
-        its reply for the next acquire on its iset (see acquire), so each
-        source is asked once per reply however often search backtracks.
-        The search recurses once per variable it assigns.
+        label() starts with solve(), outside the trail, and returns None if
+        that is False. Values are then tried in present-list order;
+        committing to a value moves the variable's other present values to
+        removed and re-propagates. While the search runs, every change to
+        the sets, the set constraints, the pairs, the bindings and the
+        replay queues is recorded on one undo trail; a failed branch undoes
+        the changes made since its node began. Any other exception, from a
+        verifier or a source, leaves label() through one restore to the
+        trail's start, so the engine is back in the state the search
+        started from; only the logs and the replay queues keep what
+        happened. When a variable runs out of present values and its
+        definition domain is still open, one more element is acquired
+        before giving up on the node. An undone acquisition keeps its reply
+        for the next acquire on its iset (see acquire), so each source is
+        asked once per reply however often search backtracks.
 
-        Returns {var id: element} or None when the search space is exhausted.
-        Raises ValueError for an unknown variable id.
+        A variable already bound, by an earlier successful label(), keeps
+        its value. Returns {var id: element} or None when the search space
+        is exhausted. Raises ValueError for an unknown variable id.
         """
         order = ([self.variable(v) for v in variables]
                  if variables is not None else list(self.variables))
+        if not self.solve():
+            return None
         self.isets.trail = []
         try:
-            return self._label(order, 0)
+            return self._label(order)
+        except BaseException:
+            self._restore(0)
+            raise
         finally:
             self.isets.trail = None
 
-    def _label(self, order: list, index: int) -> "dict | None":
-        if index == len(order):
-            return {v.id: v.bound_to for v in order}
-        var = order[index]
-        if var.bound_to is not None:
-            return self._label(order, index + 1)
-        tried: set = set()
-        while True:
+    def _label(self, order: list) -> "dict | None":
+        """The search loop, without recursion. It assigns the variables of
+        order that are unbound at entry, each once, in order. The stack
+        holds one (trail mark, values tried) frame per variable assigned so
+        far: the mark undoes that variable's binding, and the values are
+        the ones tried for it, kept to resume it when the search backtracks
+        into it. A variable left with no untried present value, and no
+        element to acquire, fails, and the search resumes the variable
+        before it. It takes the nodes, snapshots and restores of a
+        recursive depth-first search, in the same order."""
+        free = [v for v in {v.id: v for v in order}.values() if v.bound_to is None]
+        stack: list = []
+        tried: set = set()  # the values tried for free[len(stack)]
+        while len(stack) < len(free):
+            var = free[len(stack)]
             value = next((e for e in var.present if e not in tried), None)
             if value is not None:
                 tried.add(value)
-                snapshot = self._snapshot()
+                mark = self._snapshot()
                 try:
                     self._bind(var, value)
-                    result = self._label(order, index + 1)
-                    if result is not None:
-                        return result
                 except Inconsistency:
-                    pass
-                except BaseException:
-                    self._restore(snapshot)
-                    raise
-                self._restore(snapshot)
+                    self._restore(mark)
+                    continue
+                stack.append((mark, tried))
+                tried = set()
                 continue
             if self._open(var):
-                snapshot = self._snapshot()
+                mark = self._snapshot()
                 try:
                     self.acquire(var.def_domain, requesting_var=var.id)
                     self.kac_fixpoint()
+                    continue
                 except Inconsistency:
-                    self._restore(snapshot)
-                    return None
-                except BaseException:
-                    self._restore(snapshot)
-                    raise
-                continue
-            return None
+                    self._restore(mark)
+            if not stack:
+                return None
+            mark, tried = stack.pop()
+            self._restore(mark)
+        return {v.id: v.bound_to for v in order}
 
     def _bind(self, var: FdVariable, value: Element) -> None:
         for e in [*(e for e in var.present if e != value), *var.candidates]:

@@ -10,8 +10,10 @@ class Inconsistency(IcspError):
 
     Raised when propagation derives a contradiction: an element is forced
     into a set that is closed without it, a set relation is violated, or a
-    variable runs out of usable values. Search catches this to backtrack;
-    the top-level drivers turn it into an "inconsistent" verdict.
+    variable runs out of usable values. Search catches this to backtrack.
+    Outside search it is final: Engine.solve() keeps the first one and
+    answers False from then on, and top-level callers such as the CLI
+    turn it into an "inconsistent" verdict.
     """
 
 

@@ -188,6 +188,22 @@ def test_inconsistent_instance_exits_1():
     assert text.splitlines()[0] == "RESULT inconsistent"
 
 
+def test_contradiction_at_posting_is_a_verdict(tmp_path, capsys):
+    # Posting a ⊆ b finds that 2 cannot enter the closed b. The build goes
+    # on to declare x, and the run reports the kept contradiction: no
+    # traceback, and labeling is not attempted over it.
+    path = tmp_path / "incl.icsp"
+    path.write_text("iset a closed {1,2}\niset b closed {1}\n"
+                    "isetc inclusion a b\nvar x :: a\noption labeling on\n",
+                    encoding="utf-8")
+    assert main([str(path), "--trace"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out == ("INSERT a 1\nINSERT a 2\nCLOSE a\nINSERT b 1\nCLOSE b\n"
+                       "CANDIDATE x 1\nCANDIDATE x 2\n"
+                       "RESULT inconsistent\nDOMAIN x present=[] removed=[]\n")
+
+
 def test_labeling_option_binds_every_variable():
     code, text = run_text(
         "iset d closed {3,4}\nvar v :: d\nvar u :: d\n"

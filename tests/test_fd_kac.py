@@ -4,7 +4,8 @@ the full lazy-acquisition walkthrough."""
 
 import pytest
 
-from icsp import Engine, Intersection, PairState, ScriptedSource
+from icsp import (Engine, Inclusion, Inconsistency, Intersection, PairState,
+                  ScriptedSource)
 
 from instances import audit_transitions, engine_kac_holds
 from icsp.oracle import ClosedCsp, ac3
@@ -328,3 +329,42 @@ def test_pair_stranded_by_a_raising_verifier_is_checked_by_the_next_solve():
     assert eng.present(x) == [1, 2] and eng.removed(x) == [3]
     assert eng.present(y) == [2, 3] and eng.removed(y) == [1]
     assert eng.graph.nodes == {}
+
+
+def test_a_contradiction_found_by_solve_is_final():
+    # x needs a value, and da's source offers 7 first, which the inclusion
+    # forces into the closed db = {5}. Nothing outside search takes 7 back,
+    # so acquiring 5 next would leave da = {5, 7} outside db: every later
+    # solve() must stay False, without acquiring or propagating again.
+    eng = Engine()
+    da = eng.new_iset(name="da")
+    eng.register_source(da, ScriptedSource([7, 5]))
+    db = eng.new_iset([5], open=False, name="db")
+    eng.post_iset_constraint(Inclusion(da, db))
+    x = eng.new_fd_variable(da, name="x")
+    y = eng.new_fd_variable(db, name="y")
+    eng.post_fd_constraint("eq", [x, y])
+    assert eng.solve() is False
+    kept = eng.inconsistency
+    assert isinstance(kept, Inconsistency)
+    logs = (list(eng.trace), list(eng.transitions), list(eng.acquisitions))
+    assert eng.solve() is False
+    assert eng.label([x, y]) is None
+    assert eng.inconsistency is kept
+    assert (eng.trace, eng.transitions, eng.acquisitions) == logs
+    assert eng.known(da) == {7} and eng.present(x) == []
+
+
+def test_a_contradiction_raised_at_posting_is_final():
+    eng = Engine()
+    a = eng.new_iset([1, 2], open=False, name="a")
+    b = eng.new_iset([1], open=False, name="b")
+    with pytest.raises(Inconsistency) as raised:
+        eng.post_iset_constraint(Inclusion(a, b))
+    assert eng.inconsistency is raised.value
+    x = eng.new_fd_variable(a, name="x")
+    assert eng.solve() is False
+    assert eng.label([x]) is None
+    with pytest.raises(Inconsistency):
+        eng.post_iset_constraint(Inclusion(a, b))
+    assert eng.inconsistency is raised.value  # the first one is kept

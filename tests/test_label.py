@@ -83,7 +83,9 @@ def test_label_keeps_a_trail_only_while_it_runs():
 
     eng.kac_fixpoint = watched
     assert eng.label([a, y, z, w]) is not None
-    assert trails and all(t is not None for t in trails)
+    # the entry solve() runs outside the trail, every search node inside it
+    assert trails[0] is None
+    assert trails[1:] and all(t is not None for t in trails[1:])
     assert eng.isets.trail is None
 
 
@@ -226,6 +228,28 @@ def test_label_interrupted_by_a_raising_verifier_restores_its_entry_state():
     assert eng.pair_state(x, 7) is PairState.PRESENT
     assert engine_kac_holds(eng)
     assert pair_place_errors(eng) == []
+
+
+def test_label_after_an_interrupted_solve_finishes_propagation_first():
+    # The verifier raises once while solve() checks x=1 against y=2, which
+    # leaves that check unfinished. label() must finish it before it
+    # searches: searching the half-checked state returns None.
+    eng = Engine()
+    x = eng.new_fd_variable(eng.new_iset([1, 2, 3], open=False, name="dx"), name="x")
+    y = eng.new_fd_variable(eng.new_iset([1, 2, 3], open=False, name="dy"), name="y")
+    armed = [True]
+
+    def flaky_lt(values):
+        if armed and values == [1, 2]:
+            armed.clear()
+            raise TypeError("flaky verifier")
+        return values[0] < values[1]
+
+    eng.post_fd_constraint("lt", [x, y], flaky_lt)
+    with pytest.raises(TypeError):
+        eng.solve()
+    assert not armed
+    assert eng.label() == {x: 1, y: 2}
 
 
 def test_label_reads_each_typed_reply_once():

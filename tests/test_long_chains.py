@@ -64,6 +64,16 @@ def test_label_on_a_long_ne_chain():
         assert verifier([solution[ids[a]], solution[ids[b]]])
 
 
+def test_label_does_not_recurse_per_variable():
+    # Search keeps its choice points on an explicit stack: twice as many
+    # variables as the recursion limit still label.
+    csp = closed_chain("ne", 2 * DEFAULT_RECURSION_LIMIT, 2)
+    eng, ids = build_engine(csp)
+    solution = eng.label()
+    assert solution is not None
+    assert [solution[ids[k]] for k in csp.domains] == [i % 2 for i in range(len(ids))]
+
+
 def test_label_memory_on_a_long_ne_chain():
     # Copying the whole engine at every search node made this peak at
     # about 72 MB; undoing through the trail needs well under 1 MB.

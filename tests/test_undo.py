@@ -8,6 +8,8 @@ restore the state must equal the copy taken at the matching snapshot.
 import random
 from collections import Counter
 
+import pytest
+
 from icsp import Engine, ScriptedSource, Union
 from icsp.oracle import build_engine
 
@@ -133,3 +135,82 @@ def test_restores_undo_union_pending_edits_made_in_search():
     assert engine.known(a) == {3} and engine.known(b) == set()
     assert engine.known(c) == {1, 3}
     assert not (engine.is_closed(a) or engine.is_closed(c))
+
+
+class Armed(Exception):
+    """What an armed verifier or source raises."""
+
+
+def count_calls(engine, kind, tally):
+    """Wrap every verifier (kind "verify") or every source (kind "source")
+    of the engine: each call adds one to tally["calls"], and the call whose
+    number is tally["raise_at"] raises Armed instead of answering."""
+    def wrap(call):
+        def counted(*args):
+            tally["calls"] += 1
+            if tally["calls"] == tally["raise_at"]:
+                raise Armed
+            return call(*args)
+        return counted
+
+    if kind == "verify":
+        for constraint in engine.fd_constraints():
+            constraint.verify = wrap(constraint.verify)
+    else:
+        for source in engine._sources.values():
+            source.next = wrap(source.next)
+
+
+def open_instance(seed):
+    return random_open_engine(random.Random(900_000 + seed))
+
+
+def nary_instance(seed):
+    engine, ids = build_engine(random_nary_closed_csp(random.Random(900_000 + seed)))
+    return engine, list(ids.values())
+
+
+@pytest.mark.parametrize("build, kind, seeds, least", [
+    (nary_instance, "verify", 200, 100),
+    (open_instance, "verify", 400, 150),
+    (open_instance, "source", 2000, 15),  # few open instances acquire in label()
+])
+def test_an_exception_inside_label_restores_its_entry_state(build, kind, seeds, least):
+    # Each instance is built twice. One copy is labelled untouched, counting
+    # the calls label() makes; in the other the k-th such call raises. The raise
+    # must leave the twin as label() found it, through the one restore to
+    # the first node's mark, and a second label() must then give what the
+    # untouched run gave. Replies the failed run acquired wait for replay,
+    # so over both runs the twin asks its sources once more than the
+    # untouched run: for the call that raised.
+    raised = 0
+    for seed in range(seeds):
+        reference, var_ids = build(seed)
+        tally: Counter = Counter()
+        count_calls(reference, kind, tally)
+        if not reference.solve():
+            continue
+        tally.clear()
+        expected = reference.label(var_ids)
+        if not tally["calls"]:
+            continue
+        engine, var_ids = build(seed)
+        armed: Counter = Counter()
+        count_calls(engine, kind, armed)
+        assert engine.solve() is True
+        armed.clear()
+        armed["raise_at"] = random.Random(seed).randint(1, tally["calls"])
+        before = engine_state(engine)
+        audit = UndoAudit(engine)
+        with pytest.raises(Armed):
+            engine.label(var_ids)
+        assert audit.errors == [], f"seed {seed}"
+        assert engine.isets.trail is None
+        assert engine_state(engine) == before, f"seed {seed}"
+        assert pair_place_errors(engine) == []
+        assert engine.label(var_ids) == expected, f"seed {seed}"
+        assert engine_state(engine) == engine_state(reference), f"seed {seed}"
+        if kind == "source":
+            assert armed["calls"] == tally["calls"] + 1, f"seed {seed}"
+        raised += 1
+    assert raised >= least

@@ -18,10 +18,12 @@ gets a short digest of its own instances' records, so a change confined to
 some slots, or to some instance families, shows which ones it touched.
 
 Each workload line also gives verify_calls and source_calls, the verifier
-and source calls made over all its instances. They are counted as
-bench/tracing.py counts them, by replacing each constraint's verify once
-it is posted and each source's next as it is registered, and are left out
-of the digests.
+and source calls made over all its instances, and label_nodes and
+restores, the marks label() took on its undo trail and the restores to
+them. They are counted as bench/tracing.py counts them, by replacing each
+constraint's verify once it is posted, each source's next as it is
+registered and each engine's isets.get_state and set_state, and are left
+out of the digests.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
     or ("raised <type>", <type>) when it crashes. set_network builds its
     engine inside cli.run, so cli.Engine is swapped for a recording factory
     while the instance runs. Every verifier call adds one to
-    calls["verify"] and every source call one to calls["source"]."""
+    calls["verify"], every source call one to calls["source"], every mark
+    on the undo trail one to calls["label_nodes"] and every restore one to
+    calls["restores"]."""
     from icsp import Engine, cli
 
     engines = []
@@ -73,8 +77,20 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
             source.next = counted
             register_source(iset, source)
 
+        isets = engine.isets
+        get_state, set_state = isets.get_state, isets.set_state
+
+        def get_counted():
+            calls["label_nodes"] += 1
+            return get_state()
+
+        def set_counted(mark):
+            calls["restores"] += 1
+            set_state(mark)
+
         engine.post_fd_constraint = post_counted
         engine.register_source = register_counted
+        isets.get_state, isets.set_state = get_counted, set_counted
         engines.append(engine)
         return engine
 
@@ -92,7 +108,7 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
 
 def workload_digest(workload, seed: int, slots: int) -> "tuple[str, list, Counter, Counter]":
     """The workload's digest, one digest per slot, the crash counts and the
-    verifier and source calls."""
+    call counts."""
     total = hashlib.sha256()
     per_slot = [hashlib.sha256() for _ in range(slots)]
     crashes: Counter = Counter()
@@ -120,7 +136,8 @@ def main(argv=None) -> int:
         crashed = ", ".join(f"{kind} x{n}" for kind, n in sorted(crashes.items()))
         print(f"{name} seed={args.seed} instances={workload.count} "
               f"digest={digest} crashed=[{crashed}] verify_calls={calls['verify']} "
-              f"source_calls={calls['source']}")
+              f"source_calls={calls['source']} label_nodes={calls['label_nodes']} "
+              f"restores={calls['restores']}")
         print("  slots " + " ".join(f"{i}:{d}" for i, d in enumerate(slots)))
     return 0
 
