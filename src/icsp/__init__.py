@@ -18,11 +18,9 @@ from .engine import Engine
 from .errors import IcspError, Inconsistency, SourceContractError
 from .fd import FdConstraint, FdVariable, PairState, resolve_verifier
 from .isets import (
-    Closed,
     Difference,
     Element,
     Inclusion,
-    Inserted,
     Intersection,
     IsetStore,
     Member,
@@ -37,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AcquisitionContext",
     "AcquisitionSource",
-    "Closed",
     "Difference",
     "Element",
     "Engine",
@@ -46,7 +43,6 @@ __all__ = [
     "IcspError",
     "Inclusion",
     "Inconsistency",
-    "Inserted",
     "InteractiveSource",
     "Intersection",
     "IsetStore",

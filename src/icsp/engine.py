@@ -99,10 +99,9 @@ class Engine:
         """Drain set events to quiescence, then feed the drained insertions
         to the variables ranging over the affected sets, strictly in that
         order: no candidate is created while set consequences are pending."""
-        drained = self.isets.fixpoint()
-        for event in drained:
-            for vid in self._links.get(event.iset, ()):
-                self._enqueue(self.variables[vid], event.element)
+        for iset, element in self.isets.fixpoint():
+            for vid in self._links.get(iset, ()):
+                self._enqueue(self.variables[vid], element)
 
     # ------------------------------------------------------------------
     # variables, links, constraints
@@ -214,15 +213,16 @@ class Engine:
         The reply is the oldest one waiting on the iset's replay queue, or
         else the next one from its source. Returns the inserted element, or
         None if the reply is exhaustion (which closes the iset). An iset
-        without a source is treated as immediately exhausted. A reply that
-        repeats an element the iset already knows is a contract violation
-        and raises SourceContractError rather than looping.
+        without a source is treated as immediately exhausted. A fresh reply
+        that repeats an element the iset already knows is a contract
+        violation and raises SourceContractError rather than looping. A
+        replayed element that the iset has come to know by another route
+        since search undid it is dropped, and the next reply taken.
 
-        In search the trail records that undoing the acquisition puts its
-        reply back at the front of the replay queue, so a reply is asked of
-        the source once and outlives the branch that acquired it. The
-        record precedes the contract check, so a repeated element raises
-        again when it is replayed.
+        In search the trail records that undoing the acquisition, or the
+        drop, puts its reply back at the front of the replay queue, so a
+        reply is asked of the source once and outlives the branch that
+        acquired it.
         """
         if self.isets.is_closed(iset):
             raise ValueError(f"cannot acquire for closed set {self.isets.name_of(iset)}")
@@ -235,6 +235,8 @@ class Engine:
             var_name=var_name,
         )
         replay = self._replays[iset]
+        while replay and self.isets.contains(iset, replay[0]):
+            self.isets.record(replay.appendleft, replay.popleft())
         if replay:
             element = replay.popleft()
         else:
@@ -491,17 +493,18 @@ class Engine:
         where a pair changes state.
 
         The move is checked against the transitions permitted in the
-        current phase (search, which keeps a trail, permits more), which
-        fixes the state each branch below leaves. The element leaves the
-        list of its old state (source) and joins the end of that of the new
-        one (target); an observed pair sits in the support graph instead of
-        a list, and leaves it either by removal here or by the flush that
-        clears the whole graph. The transition log and the trace get one
-        entry each, and in search the trail gets the record that _unmove
-        undoes the move with."""
+        current phase, which fixes the state each branch below leaves. The
+        phase is search, which permits more, while search keeps a trail,
+        and for a variable that a successful label() left bound. The
+        element leaves the list of its old state (source) and joins the end
+        of that of the new one (target); an observed pair sits in the
+        support graph instead of a list, and leaves it either by removal
+        here or by the flush that clears the whole graph. The transition
+        log and the trace get one entry each, and in search the trail gets
+        the record that _unmove undoes the move with."""
         old = var.states.get(element, PairState.UNKNOWN)
         trail = self.isets.trail
-        if trail is None:
+        if trail is None and var.bound_to is None:
             phase, allowed = "prop", ALLOWED_TRANSITIONS
         else:
             phase, allowed = "search", _SEARCH_ALLOWED
@@ -578,13 +581,13 @@ class Engine:
         removed and re-propagates. While the search runs, every change to
         the sets, the set constraints, the pairs, the bindings and the
         replay queues is recorded on one undo trail; a failed branch undoes
-        the changes made since its node began. Any other exception, from a
-        verifier or a source, leaves label() through one restore to the
-        trail's start, so the engine is back in the state the search
-        started from; only the logs and the replay queues keep what
-        happened. When a variable runs out of present values and its
-        definition domain is still open, one more element is acquired
-        before giving up on the node. An undone acquisition keeps its reply
+        the changes made since its node began. A search that finds no
+        solution, and any other exception, from a verifier or a source,
+        leave label() through one restore to the trail's start, so the
+        engine is back in the state the search started from; only the logs
+        and the replay queues keep what happened. When a variable runs out
+        of present values and its definition domain is still open, one more
+        element is acquired before giving up on the node. An undone acquisition keeps its reply
         for the next acquire on its iset (see acquire), so each source is
         asked once per reply however often search backtracks.
 
@@ -641,6 +644,8 @@ class Engine:
                 except Inconsistency:
                     self._restore(mark)
             if not stack:
+                if self.isets.trail:  # what the first variable acquired
+                    self._restore(0)
                 return None
             mark, tried = stack.pop()
             self._restore(mark)

@@ -3,12 +3,16 @@
 An iset is a set whose membership is discovered over time: it holds the
 ground elements known so far plus an open/closed flag. While open it can
 still grow; closing it is irreversible and freezes the known part. Every
-insertion and every closure emits exactly one event, and the posted set
-constraints (membership, union, intersection, difference, inclusion) react
-to those events until a FIFO fixpoint is reached.
+insertion and every closure queues exactly one event, a plain pair:
+(iset, element) for an insertion and (iset, None) for a closure. The
+posted set constraints (membership, union, intersection, difference,
+inclusion) react to those events until a FIFO fixpoint is reached. Like a
+CHR rule, which wakes only for the constraints matching its head, an event
+reaches only the constraints that declared, through watches(), that their
+handler acts on that argument's insertions or closure.
 
 Elements are ground scalars only: ints or lowercase-atom strings. No
-variables, no nested sets.
+variables, no nested sets, and never None, which marks a closure.
 """
 
 from __future__ import annotations
@@ -46,24 +50,6 @@ def element_sort_key(element: Element):
     return (isinstance(element, str), element)
 
 
-@dataclass(frozen=True)
-class Inserted:
-    """Element entered the known part of iset."""
-
-    iset: int
-    element: Element
-
-
-@dataclass(frozen=True)
-class Closed:
-    """Iset was closed; its known part is now final."""
-
-    iset: int
-
-
-Event = _Union[Inserted, Closed]
-
-
 @dataclass
 class Iset:
     id: int
@@ -75,6 +61,15 @@ class Iset:
 class IsetConstraint:
     """Base class for set constraints: reacts to events on its arguments.
 
+    watches() returns (inserted_args, closed_args): the arguments, in
+    argument order, whose insertions reach on_inserted and whose closure
+    reaches on_closed. Nothing else is delivered, so a handler never sees
+    an event for a role it does not act on, and it tells the roles of a
+    watched iset apart by comparing ids. post() rejects an unknown id among
+    the watched arguments before it records anything; a constraint that
+    reads an argument it does not watch validates it itself, before any
+    change, as Member does through ensure_member.
+
     Handlers must be idempotent: activation replays history on posting, and
     an event queued before posting will reach the constraint a second time
     when it is drained.
@@ -85,11 +80,8 @@ class IsetConstraint:
     backtracks.
     """
 
-    def isets(self) -> tuple:
-        raise NotImplementedError
-
-    def distinct_isets(self) -> list:
-        return list(dict.fromkeys(self.isets()))
+    def watches(self) -> tuple:
+        return (), ()
 
     def on_inserted(self, store: "IsetStore", iset: int, element: Element) -> None:
         pass
@@ -98,11 +90,13 @@ class IsetConstraint:
         pass
 
     def activate(self, store: "IsetStore") -> None:
-        """Replay the arguments' history so that posting order is irrelevant."""
-        for i in self.distinct_isets():
+        """Replay the watched arguments' history so that posting order is
+        irrelevant."""
+        inserted, closed = self.watches()
+        for i in dict.fromkeys(inserted):
             for e in store.known_in_order(i):
                 self.on_inserted(store, i, e)
-        for i in self.distinct_isets():
+        for i in dict.fromkeys(closed):
             if store.is_closed(i):
                 self.on_closed(store, i)
 
@@ -113,9 +107,6 @@ class Member(IsetConstraint):
     def __init__(self, element: Element, iset: int):
         self.element = element
         self.iset = iset
-
-    def isets(self):
-        return (self.iset,)
 
     def activate(self, store):
         store.ensure_member(self.iset, self.element)
@@ -131,23 +122,21 @@ class Inclusion(IsetConstraint):
         self.a = a
         self.b = b
 
-    def isets(self):
-        return (self.a, self.b)
+    def watches(self):
+        return (self.a,), (self.b,)
 
     def on_inserted(self, store, iset, element):
-        if iset == self.a:
-            store.ensure_member(self.b, element)
-            self._maybe_close_left(store)
+        store.ensure_member(self.b, element)
+        self._maybe_close_left(store)
 
     def on_closed(self, store, iset):
-        if iset == self.b:
-            missing = store.known(self.a) - store.known(self.b)
-            if missing:
-                raise Inconsistency(
-                    f"{store.name_of(self.a)} ⊆ {store.name_of(self.b)} violated: "
-                    f"{sorted(missing, key=element_sort_key)} missing from closed superset"
-                )
-            self._maybe_close_left(store)
+        missing = store.known(self.a) - store.known(self.b)
+        if missing:
+            raise Inconsistency(
+                f"{store.name_of(self.a)} ⊆ {store.name_of(self.b)} violated: "
+                f"{sorted(missing, key=element_sort_key)} missing from closed superset"
+            )
+        self._maybe_close_left(store)
 
     def _maybe_close_left(self, store):
         # Once the superset is closed and the known parts coincide, the
@@ -167,8 +156,8 @@ class Intersection(IsetConstraint):
         self.b = b
         self.c = c
 
-    def isets(self):
-        return (self.a, self.b, self.c)
+    def watches(self):
+        return (self.a, self.b, self.c), (self.a, self.b)
 
     def on_inserted(self, store, iset, element):
         if iset == self.c:
@@ -180,8 +169,6 @@ class Intersection(IsetConstraint):
             store.ensure_member(self.c, element)
 
     def on_closed(self, store, iset):
-        if iset not in (self.a, self.b):
-            return
         if not (store.is_closed(self.a) and store.is_closed(self.b)):
             return
         # Both operands are final: c is exactly their intersection.
@@ -214,8 +201,8 @@ class Union(IsetConstraint):
         self.c = c
         self.pending: list = []
 
-    def isets(self):
-        return (self.a, self.b, self.c)
+    def watches(self):
+        return (self.a, self.b, self.c), (self.a, self.b)
 
     def on_inserted(self, store, iset, element):
         if iset in (self.a, self.b):
@@ -235,8 +222,6 @@ class Union(IsetConstraint):
             store.record(self.pending.pop)
 
     def on_closed(self, store, iset):
-        if iset not in (self.a, self.b):
-            return
         pending, self.pending = self.pending, []
         store.record(setattr, self, "pending", pending)
         for e in pending:
@@ -270,8 +255,8 @@ class Difference(IsetConstraint):
         self.b = b
         self.c = c
 
-    def isets(self):
-        return (self.a, self.b, self.c)
+    def watches(self):
+        return (self.a, self.b, self.c), (self.a, self.b)
 
     def on_inserted(self, store, iset, element):
         if iset == self.c:
@@ -290,8 +275,6 @@ class Difference(IsetConstraint):
             store.ensure_member(self.c, element)
 
     def on_closed(self, store, iset):
-        if iset not in (self.a, self.b):
-            return
         if store.is_closed(self.b):
             for e in store.known_in_order(self.a):
                 if not store.contains(self.b, e):
@@ -306,6 +289,10 @@ class Difference(IsetConstraint):
 class IsetStore:
     """Owns every iset, the posted set constraints, and the event queue.
 
+    Each iset has two lists of constraints, in posting order:
+    _on_inserted[i] holds those watching i's insertions and _on_closed[i]
+    those watching its closure (see IsetConstraint.watches).
+
     Single-threaded: one store per engine, externally serialized.
 
     While trail is a list (the engine's search keeps one), every change to
@@ -317,9 +304,9 @@ class IsetStore:
 
     def __init__(self, trace: "list | None" = None):
         self._isets: list[Iset] = []
-        self._constraints: list[IsetConstraint] = []
-        self._watchers: dict[int, list[IsetConstraint]] = {}
-        self.queue: deque = deque()
+        self._on_inserted: list[list[IsetConstraint]] = []
+        self._on_closed: list[list[IsetConstraint]] = []
+        self.queue: deque = deque()  # (iset, element), or (iset, None) for a closure
         # Shared, append-only event trace (the engine passes its own list in).
         self.trace = trace if trace is not None else []
         self.trail: "list | None" = None
@@ -330,9 +317,13 @@ class IsetStore:
     def new_iset(self, elements: Iterable[Element] = (), *, open: bool = True,
                  name: "str | None" = None) -> int:
         """Create an iset with the given (deduplicated) initial known part."""
+        elements = list(elements)
+        if None in elements:
+            raise ValueError("None is not an element")
         iid = len(self._isets)
         self._isets.append(Iset(iid, name or f"s{iid}", {}, True))
-        self._watchers[iid] = []
+        self._on_inserted.append([])
+        self._on_closed.append([])
         for e in elements:
             self.ensure_member(iid, e)
         if not open:
@@ -366,19 +357,22 @@ class IsetStore:
     def ensure_member(self, iset: int, element: Element) -> bool:
         """Force element into the set.
 
-        Returns True if it was newly inserted (queueing one Inserted event),
-        False if it was already known. Raises Inconsistency if the set is
-        closed without it.
+        Returns True if it was newly inserted (queueing the event
+        (iset, element)), False if it was already known. Raises
+        Inconsistency if the set is closed without it, and ValueError for
+        None, which marks a closure.
         """
         s = self._get(iset)
         if element in s.known:
             return False
+        if element is None:
+            raise ValueError("None is not an element")
         if not s.open:
             raise Inconsistency(f"{element!r} cannot enter closed set {s.name}")
         s.known[element] = None
         if self.trail is not None:
             self.trail.append((s.known.pop, element))
-        self.queue.append(Inserted(iset, element))
+        self.queue.append((iset, element))
         self.trace.append(("INSERT", s.name, element))
         return True
 
@@ -389,7 +383,7 @@ class IsetStore:
             return False
         s.open = False
         self.record(setattr, s, "open", True)
-        self.queue.append(Closed(iset))
+        self.queue.append((iset, None))
         self.trace.append(("CLOSE", s.name))
         return True
 
@@ -397,36 +391,37 @@ class IsetStore:
     # constraints and propagation
 
     def post(self, constraint: IsetConstraint) -> None:
-        """Record a constraint and replay its arguments' history against it."""
-        for i in constraint.distinct_isets():
+        """File a constraint under the isets it watches and replay their
+        history against it."""
+        inserted, closed = constraint.watches()
+        for i in (*inserted, *closed):
             self._get(i)
-        self._constraints.append(constraint)
-        for i in constraint.distinct_isets():
-            self._watchers[i].append(constraint)
+        for i in dict.fromkeys(inserted):
+            self._on_inserted[i].append(constraint)
+        for i in dict.fromkeys(closed):
+            self._on_closed[i].append(constraint)
         constraint.activate(self)
 
-    def propagate(self, event: Event) -> None:
-        """Apply one dequeued event to every constraint watching its iset."""
-        for constraint in self._watchers[event.iset]:
-            if isinstance(event, Inserted):
-                constraint.on_inserted(self, event.iset, event.element)
-            else:
-                constraint.on_closed(self, event.iset)
-
     def fixpoint(self) -> list:
-        """Drain the event queue FIFO until quiescent.
+        """Drain the event queue FIFO until quiescent, handing each event
+        to the constraints watching it, in posting order.
 
-        Returns the Inserted events drained this round, in drain order, for
-        the engine to convert into candidates. Terminates: each
-        (iset, element) insertion and each closure happens at most once and
-        the constraint store only grows.
+        Returns the insertions drained this round, (iset, element) pairs in
+        drain order, for the engine to convert into candidates. Terminates:
+        each (iset, element) insertion and each closure happens at most
+        once and the constraint store only grows.
         """
         drained = []
-        while self.queue:
-            event = self.queue.popleft()
-            if isinstance(event, Inserted):
+        queue, on_inserted, on_closed = self.queue, self._on_inserted, self._on_closed
+        while queue:
+            event = iset, element = queue.popleft()
+            if element is None:
+                for constraint in on_closed[iset]:
+                    constraint.on_closed(self, iset)
+            else:
                 drained.append(event)
-            self.propagate(event)
+                for constraint in on_inserted[iset]:
+                    constraint.on_inserted(self, iset, element)
         return drained
 
     # ------------------------------------------------------------------

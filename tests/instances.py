@@ -91,7 +91,8 @@ def engine_state(engine):
         [(list(v.present), list(v.removed), list(v.candidates), dict(v.states),
           v.bound_to) for v in engine.variables],
         [(list(s.known), s.open) for s in store._isets],
-        [list(c.pending) for c in store._constraints if isinstance(c, Union)],
+        [list(c.pending) for c in dict.fromkeys(c for cs in store._on_inserted for c in cs)
+         if isinstance(c, Union)],
         {i: s.calls_served() - sum(e is not None for e in engine._replays.get(i, ()))
          for i, s in engine._sources.items() if isinstance(s, ScriptedSource)},
     )
@@ -210,12 +211,13 @@ def random_iset_instance(rng: random.Random):
     return sets, constraints, insertions
 
 
-def run_iset_instance(instance, shuffle_rng=None):
+def run_iset_instance(instance, shuffle_rng=None, trace=None):
     """Build a fresh store and apply constraint postings and insertions,
     interleaved in a (possibly shuffled) order. The outcome is either
-    ("fail",) or ("ok", known parts, closure flags) at the final fixpoint."""
+    ("fail",) or ("ok", known parts, closure flags) at the final fixpoint.
+    With trace given, the store appends its INSERT and CLOSE entries to it."""
     sets, constraints, insertions = instance
-    store = IsetStore()
+    store = IsetStore(trace)
     ids = [store.new_iset(init, open=is_open) for init, is_open in sets]
     steps = [("post", spec) for spec in constraints]
     steps += [("insert", ins) for ins in insertions]

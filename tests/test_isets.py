@@ -1,5 +1,6 @@
 """Unit tests for the iset store: primitives, events, and the per-kind
-propagation rules."""
+propagation rules. An event is a pair: (iset, element) for an insertion,
+(iset, None) for a closure."""
 
 import random
 
@@ -7,10 +8,8 @@ import pytest
 
 from icsp import Inconsistency, IsetStore
 from icsp.isets import (
-    Closed,
     Difference,
     Inclusion,
-    Inserted,
     Intersection,
     Member,
     Union,
@@ -53,9 +52,7 @@ def test_new_iset_dedup_and_closed():
     assert store.known(s) == {1, 2, 3, 4}
     assert store.is_closed(s)
     # one insertion event per distinct element, plus one closure
-    inserts = [e for e in store.queue if isinstance(e, Inserted)]
-    closes = [e for e in store.queue if isinstance(e, Closed)]
-    assert len(inserts) == 4 and len(closes) == 1
+    assert list(store.queue) == [(s, 1), (s, 2), (s, 3), (s, 4), (s, None)]
 
 
 def test_ensure_member_inserts():
@@ -86,7 +83,7 @@ def test_close_is_idempotent():
     assert store.is_closed(s)
     assert store.known(s) == {1, 2}
     assert store.close(s) is False
-    assert sum(1 for e in store.queue if isinstance(e, Closed)) == 1
+    assert list(store.queue) == [(s, 1), (s, 2), (s, None)]  # one closure
 
 
 def test_known_returns_snapshot():
@@ -112,6 +109,36 @@ def test_unknown_iset_rejected():
         store.ensure_member(3, 1)
     with pytest.raises(ValueError):
         store.post(Inclusion(0, 1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad, s: Member(1, bad),
+    lambda bad, s: Inclusion(bad, s), lambda bad, s: Inclusion(s, bad),
+    *(lambda bad, s, kind=kind, at=at: kind(*(bad if i == at else s for i in range(3)))
+      for kind in (Union, Intersection, Difference) for at in range(3)),
+])
+@pytest.mark.parametrize("bad", [-1, "s0"])
+def test_post_rejects_an_unknown_id_in_any_argument_and_records_nothing(make, bad):
+    store = IsetStore()
+    s = store.new_iset([1, 2])
+    store.fixpoint()
+    with pytest.raises(ValueError):
+        store.post(make(bad, s))
+    assert store._on_inserted == [[]] and store._on_closed == [[]]
+    assert not store.queue and store.known_in_order(s) == [1, 2]
+    assert store.trace == [("INSERT", "s0", 1), ("INSERT", "s0", 2)]
+
+
+def test_none_is_not_an_element():
+    # An event (iset, None) marks a closure, so None never enters a set.
+    store = IsetStore()
+    s = store.new_iset([1])
+    with pytest.raises(ValueError):
+        store.ensure_member(s, None)
+    with pytest.raises(ValueError):
+        store.new_iset([2, None])
+    assert store.known(s) == {1} and len(store._isets) == 1
+    assert list(store.queue) == [(s, 1)]
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +197,7 @@ def test_intersection_right_to_left():
     drained = store.fixpoint()
     assert store.known(dx) == {2, 4, 5}
     assert store.known(dy) == {3, 4, 5}
-    assert drained == [Inserted(dz, 5), Inserted(dx, 5), Inserted(dy, 5)]
+    assert drained == [(dz, 5), (dx, 5), (dy, 5)]
 
 
 def test_intersection_left_to_right_when_in_both():
@@ -214,6 +241,27 @@ def test_inclusion_forward():
     store.ensure_member(a, 7)
     store.fixpoint()
     assert store.known(b) == {7}
+
+
+def test_inclusion_gets_no_call_for_superset_insertions():
+    # a ⊆ b acts on insertions into a and on the closure of b only, so
+    # neither activation nor the fixpoint calls it for the rest.
+    store = IsetStore()
+    a = store.new_iset([1])
+    b = store.new_iset([1, 2])
+    store.fixpoint()
+    inclusion = Inclusion(a, b)
+    calls = []
+    inclusion.on_inserted = lambda store, iset, element: calls.append(("ins", iset, element))
+    inclusion.on_closed = lambda store, iset: calls.append(("close", iset))
+    store.post(inclusion)
+    store.ensure_member(b, 3)
+    store.close(a)
+    store.fixpoint()
+    assert calls == [("ins", a, 1)]
+    store.close(b)
+    store.fixpoint()
+    assert calls == [("ins", a, 1), ("close", b)]
 
 
 def test_inclusion_closure_rule():

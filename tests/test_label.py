@@ -252,12 +252,13 @@ def test_label_after_an_interrupted_solve_finishes_propagation_first():
     assert eng.label() == {x: 1, y: 2}
 
 
-def test_label_reads_each_typed_reply_once():
-    # Under g = 0 the gated ne triangle y, z, w over {1, 2} has no
-    # solution, so x's values 1, 5, 6 and 7 each fail there and x's input
-    # runs out. Backtracking out of g = 0 undoes those acquisitions but
-    # keeps their replies: g = 1 succeeds with x = 1, and the next acquire
-    # for x replays 5 without prompting again.
+def typed_replies():
+    """x over open {1} fed by typed input 5, 6, 7, and g over {0, 1}
+    gating an ne triangle y, z, w over {1, 2}, labelled in that order.
+    Under g = 0 the triangle has no solution, so x's values 1, 5, 6 and 7
+    each fail there and x's input runs out. Backtracking out of g = 0
+    undoes those acquisitions but keeps their replies: g = 1 succeeds with
+    x = 1. Returns the engine after label(), its prompt stream, dx and x."""
     eng = Engine()
     g = eng.new_fd_variable(eng.new_iset([0, 1], open=False, name="dg"), name="g")
     dx = eng.new_iset([1], name="dx")
@@ -272,9 +273,43 @@ def test_label_reads_each_typed_reply_once():
     assert eng.solve() is True
     solution = eng.label([g, x, y, z, w])
     assert solution[g] == 1 and solution[x] == 1
+    return eng, prompts, dx, x
+
+
+def test_label_reads_each_typed_reply_once():
+    # The next acquire for x replays 5 without prompting again.
+    eng, prompts, dx, x = typed_replies()
     assert [e for _iset, _var, e in eng.acquisitions] == [5, 6, 7, None]
     assert prompts.getvalue().count("acquire dx") == 4  # once per reply
     assert eng.known(dx) == {1} and not eng.is_closed(dx)
     assert eng.acquire(dx, requesting_var=x) == 5
     assert prompts.getvalue().count("acquire dx") == 4
     assert eng.known(dx) == {1, 5}
+
+
+def test_a_replayed_reply_known_by_another_route_is_dropped():
+    # 5 waits for replay when it enters dx by another route. The replay
+    # drops it instead of blaming the source for a repeat, and replays 6.
+    eng, prompts, dx, x = typed_replies()
+    eng.ensure_member(dx, 5)
+    assert eng.acquire(dx, requesting_var=x) == 6
+    assert prompts.getvalue().count("acquire dx") == 4
+    assert eng.known(dx) == {1, 5, 6}
+    assert [e for _iset, _var, e in eng.acquisitions][4:] == [6]
+
+
+def test_a_value_bound_by_label_discards_later_arrivals():
+    # After label() binds x to 1, 7 enters x's open domain. solve() moves
+    # it to removed under the search transitions and stays consistent.
+    eng = Engine()
+    dx = eng.new_iset([1, 2], name="dx")
+    dy = eng.new_iset([1, 2], open=False, name="dy")
+    x = eng.new_fd_variable(dx, name="x")
+    y = eng.new_fd_variable(dy, name="y")
+    eng.post_fd_constraint("ne", [x, y])
+    assert eng.label() == {x: 1, y: 2}
+    eng.ensure_member(dx, 7)
+    assert eng.solve() is True
+    assert eng.present(x) == [1] and eng.removed(x) == [2, 7]
+    assert eng.transitions[-1] == (x, 7, PairState.CANDIDATE, PairState.REMOVED, "search")
+    assert pair_place_errors(eng) == []

@@ -9,17 +9,30 @@ search (every seek and every retry starting from the first tuple); the
 incremental search must reproduce them byte for byte. closed_nary_label
 was taken before `_revise` learned to skip binary arcs whose source lost
 no value: it pins the order of removals along the n-ary revise path,
-which must never take that skip.
+which must never take that skip. iset_traces and cli_problems were taken
+while every set event still went to every constraint on its iset: they
+pin the order in which the set layer inserts and closes.
 """
 
 import hashlib
+import io
 import random
+from pathlib import Path
 
 import pytest
 
 from icsp import Engine, Inconsistency, RangeSource, ScriptedSource
+from icsp.cli import parse, run
 
-from instances import random_closed_csp, random_nary_closed_csp, random_open_engine
+from instances import (
+    random_closed_csp,
+    random_iset_instance,
+    random_nary_closed_csp,
+    random_open_engine,
+    run_iset_instance,
+)
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def digest(engine, outcome) -> str:
@@ -142,6 +155,28 @@ def open_random(seed) -> str:
     return digest(engine, outcome)
 
 
+def iset_traces(seed) -> str:
+    """One set-only instance, some of whose constraints repeat an argument,
+    run in generation order and in a shuffled order of postings and
+    insertions: the outcome and INSERT/CLOSE trace of both runs."""
+    instance = random_iset_instance(random.Random(30_000 + seed))
+    record = []
+    for shuffle in (None, random.Random(seed)):
+        trace: list = []
+        record.append((run_iset_instance(instance, shuffle, trace), trace))
+    return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
+
+
+def cli_problems() -> str:
+    """The exit code and traced output of the CLI on every problem file."""
+    record = []
+    for path in sorted(PROBLEMS.glob("*.icsp")):
+        out = io.StringIO()
+        code = run(parse(path.read_text(encoding="utf-8")), trace=True, out=out)
+        record.append((path.name, code, out.getvalue()))
+    return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
+
+
 def over_seeds(case, seeds) -> str:
     return hashlib.sha256("".join(map(case, seeds)).encode()).hexdigest()[:16]
 
@@ -161,12 +196,16 @@ CASES = {
     "closed_nary_label": lambda: over_seeds(
         lambda s: labelled(closed_csp(s, random_nary_closed_csp)), range(40)),
     "open_random_label": lambda: over_seeds(open_random, range(40)),
+    "iset_traces": lambda: over_seeds(iset_traces, range(300)),
+    "cli_problems": cli_problems,
 }
 
 PINNED = {
     "closed_nary_label": "24a8146c78c84a5c",
+    "cli_problems": "7c77449a8d3b40c0",
     "closed_random_label": "cb38af6c6aa688ef",
     "exhausted_source": "4a85c2dc8cd40cdf",
+    "iset_traces": "c799dedc59089a8f",
     "open_gt_chain_label_4": "d4e787abbde4822a",
     "open_lt_chain_1": "2693d3dba9f1c44f",
     "open_lt_chain_2": "9be54ee51880a259",

@@ -114,7 +114,8 @@ def test_restores_undo_union_pending_edits_made_in_search():
     g = engine.new_fd_variable(engine.new_iset([0, 1], open=False, name="dg"), name="g")
     a, b = engine.new_iset([3], name="a"), engine.new_iset(name="b")
     c = engine.new_iset([1], name="c")
-    engine.post_iset_constraint(Union(a, b, c))
+    union = Union(a, b, c)
+    engine.post_iset_constraint(union)
     engine.register_source(a, ScriptedSource([]))
     engine.register_source(c, ScriptedSource([5, 6]))
     x = engine.new_fd_variable(c, name="x")
@@ -125,7 +126,6 @@ def test_restores_undo_union_pending_edits_made_in_search():
     for p, q in ((y, z), (z, w), (y, w)):
         engine.post_fd_constraint("gate", [g, p, q], gate)
     assert engine.solve() is True
-    union = engine.isets._constraints[0]
     assert union.pending == [1]
     solution, audit = label_audited(engine, [g, x, u, y, z, w])
     assert solution[g] == 1 and solution[x] == 1
@@ -135,6 +135,25 @@ def test_restores_undo_union_pending_edits_made_in_search():
     assert engine.known(a) == {3} and engine.known(b) == set()
     assert engine.known(c) == {1, 3}
     assert not (engine.is_closed(a) or engine.is_closed(c))
+
+
+def test_an_exhausted_label_restores_its_entry_state():
+    # The search acquires 3 and then exhaustion into d0 for its first
+    # variable and still finds no solution. It undoes both: d0 is back to
+    # what solve() left, open, and the two replies wait for replay, so a
+    # second label() asks no source and ends in the same state.
+    engine, var_ids = random_open_engine(random.Random(900_525))
+    assert engine.solve() is True
+    before = engine_state(engine)
+    result, audit = label_audited(engine, var_ids)
+    assert result is None
+    assert engine_state(engine) == before
+    assert engine.known(0) == {1, 2, 4, 5} and not engine.is_closed(0)
+    assert list(engine._replays[0]) == [3, None]
+    calls = [s.calls_served() for s in engine._sources.values()]
+    assert label_audited(engine, var_ids)[0] is None
+    assert engine_state(engine) == before
+    assert [s.calls_served() for s in engine._sources.values()] == calls
 
 
 class Armed(Exception):

@@ -18,12 +18,14 @@ gets a short digest of its own instances' records, so a change confined to
 some slots, or to some instance families, shows which ones it touched.
 
 Each workload line also gives verify_calls and source_calls, the verifier
-and source calls made over all its instances, and label_nodes and
-restores, the marks label() took on its undo trail and the restores to
-them. They are counted as bench/tracing.py counts them, by replacing each
-constraint's verify once it is posted, each source's next as it is
-registered and each engine's isets.get_state and set_state, and are left
-out of the digests.
+and source calls made over all its instances, label_nodes and restores,
+the marks label() took on its undo trail and the restores to them, and
+set_handler_calls, the calls to set constraints' on_inserted and
+on_closed, activation replay included. They are counted as
+bench/tracing.py counts them, by replacing each constraint's verify once
+it is posted, each source's next as it is registered, each engine's
+isets.get_state and set_state, and each set constraint's two handlers as
+it is posted, and are left out of the digests.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
     engine inside cli.run, so cli.Engine is swapped for a recording factory
     while the instance runs. Every verifier call adds one to
     calls["verify"], every source call one to calls["source"], every mark
-    on the undo trail one to calls["label_nodes"] and every restore one to
-    calls["restores"]."""
+    on the undo trail one to calls["label_nodes"], every restore one to
+    calls["restores"] and every set handler call one to
+    calls["set_handler_calls"]."""
     from icsp import Engine, cli
 
     engines = []
@@ -78,7 +81,7 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
             register_source(iset, source)
 
         isets = engine.isets
-        get_state, set_state = isets.get_state, isets.set_state
+        get_state, set_state, post = isets.get_state, isets.set_state, isets.post
 
         def get_counted():
             calls["label_nodes"] += 1
@@ -88,9 +91,21 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
             calls["restores"] += 1
             set_state(mark)
 
+        def post_set_counted(constraint):
+            for name in ("on_inserted", "on_closed"):
+                handler = getattr(constraint, name)
+
+                def counted(*args, handler=handler):
+                    calls["set_handler_calls"] += 1
+                    return handler(*args)
+
+                setattr(constraint, name, counted)
+            post(constraint)
+
         engine.post_fd_constraint = post_counted
         engine.register_source = register_counted
         isets.get_state, isets.set_state = get_counted, set_counted
+        isets.post = post_set_counted
         engines.append(engine)
         return engine
 
@@ -137,7 +152,8 @@ def main(argv=None) -> int:
         print(f"{name} seed={args.seed} instances={workload.count} "
               f"digest={digest} crashed=[{crashed}] verify_calls={calls['verify']} "
               f"source_calls={calls['source']} label_nodes={calls['label_nodes']} "
-              f"restores={calls['restores']}")
+              f"restores={calls['restores']} "
+              f"set_handler_calls={calls['set_handler_calls']}")
         print("  slots " + " ".join(f"{i}:{d}" for i, d in enumerate(slots)))
     return 0
 
