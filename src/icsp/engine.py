@@ -117,7 +117,7 @@ class Engine:
         return vid
 
     def variable(self, vid: int) -> FdVariable:
-        if not isinstance(vid, int) or not 0 <= vid < len(self.variables):
+        if type(vid) is not int or not 0 <= vid < len(self.variables):
             raise ValueError(f"unknown variable id {vid!r}")
         return self.variables[vid]
 
@@ -224,8 +224,10 @@ class Engine:
         reply is asked of the source once and outlives the branch that
         acquired it.
         """
-        if self.isets.is_closed(iset):
-            raise ValueError(f"cannot acquire for closed set {self.isets.name_of(iset)}")
+        isets = self.isets
+        s = isets._get(iset)
+        if not s.open:
+            raise ValueError(f"cannot acquire for closed set {s.name}")
         source = self._sources.get(iset)
         var_name = (self.variable(requesting_var).name
                     if requesting_var is not None else None)
@@ -235,24 +237,24 @@ class Engine:
             var_name=var_name,
         )
         replay = self._replays[iset]
-        while replay and self.isets.contains(iset, replay[0]):
-            self.isets.record(replay.appendleft, replay.popleft())
+        while replay and replay[0] in s.known:
+            isets.record(replay.appendleft, replay.popleft())
         if replay:
             element = replay.popleft()
         else:
             element = source.next(iset, ctx) if source is not None else None
-        self.isets.record(replay.appendleft, element)
+        isets.record(replay.appendleft, element)
         self.acquisitions.append((iset, requesting_var, element))
-        self.trace.append(("ACQUIRE", self.isets.name_of(iset), element))
+        self.trace.append(("ACQUIRE", s.name, element))
         if element is None:
-            self.isets.close(iset)
+            isets._close(s)
             self.propagate_isets()
             return None
-        if self.isets.contains(iset, element):
+        if element in s.known:
             raise SourceContractError(
-                f"source for {self.isets.name_of(iset)} repeated element {element!r}"
+                f"source for {s.name} repeated element {element!r}"
             )
-        self.isets.ensure_member(iset, element)
+        isets._insert(s, element)
         self.propagate_isets()
         return element
 

@@ -9,7 +9,11 @@ posted set constraints (membership, union, intersection, difference,
 inclusion) react to those events until a FIFO fixpoint is reached. Like a
 CHR rule, which wakes only for the constraints matching its head, an event
 reaches only the constraints that declared, through watches(), that their
-handler acts on that argument's insertions or closure.
+handler acts on that argument's insertions or closure. And as a rule
+matches its head once and then works on the constraints it matched,
+posting resolves a set constraint's arguments to their Iset records once,
+validating each id, and its handlers work on those records from then on
+(see IsetConstraint).
 
 Elements are ground scalars only: ints or lowercase-atom strings. No
 variables, no nested sets, and never None, which marks a closure.
@@ -52,6 +56,9 @@ def element_sort_key(element: Element):
 
 @dataclass
 class Iset:
+    """The record of one iset. Set constraints read its fields directly;
+    only the store changes them."""
+
     id: int
     name: str
     known: "dict[Element, None]"  # insertion-ordered set
@@ -61,14 +68,23 @@ class Iset:
 class IsetConstraint:
     """Base class for set constraints: reacts to events on its arguments.
 
-    watches() returns (inserted_args, closed_args): the arguments, in
+    args() returns the ids of every iset the constraint reads or changes,
+    in argument order. watches() returns (inserted_args, closed_args), each
+    drawn from args() (post() rejects any other id): the arguments, in
     argument order, whose insertions reach on_inserted and whose closure
     reaches on_closed. Nothing else is delivered, so a handler never sees
-    an event for a role it does not act on, and it tells the roles of a
-    watched iset apart by comparing ids. post() rejects an unknown id among
-    the watched arguments before it records anything; a constraint that
-    reads an argument it does not watch validates it itself, before any
-    change, as Member does through ensure_member.
+    an event for a role it does not act on.
+
+    post() resolves every one of args() to its Iset record once, which
+    validates it: an unknown id raises ValueError before anything is
+    recorded. It then sets self.sets to the records, in argument order, and
+    calls activate(). From there on the constraint works on the records and
+    looks up no id: it reads s.known (an insertion-ordered dict of the known
+    elements), s.open and s.name directly, and changes a set only through
+    the store, with store._insert(s, element) and store._close(s), the
+    record-taking forms of ensure_member and close. Handlers still receive
+    the event's iset as an id, and tell the roles of a watched iset apart by
+    comparing it with the records' ids.
 
     Handlers must be idempotent: activation replays history on posting, and
     an event queued before posting will reach the constraint a second time
@@ -79,6 +95,11 @@ class IsetConstraint:
     pending list, so that search can take the change back when it
     backtracks.
     """
+
+    sets: tuple = ()  # the Iset records of args(), set by IsetStore.post
+
+    def args(self) -> tuple:
+        return ()
 
     def watches(self) -> tuple:
         return (), ()
@@ -92,12 +113,13 @@ class IsetConstraint:
     def activate(self, store: "IsetStore") -> None:
         """Replay the watched arguments' history so that posting order is
         irrelevant."""
+        sets = {s.id: s for s in self.sets}
         inserted, closed = self.watches()
         for i in dict.fromkeys(inserted):
-            for e in store.known_in_order(i):
+            for e in list(sets[i].known):
                 self.on_inserted(store, i, e)
         for i in dict.fromkeys(closed):
-            if store.is_closed(i):
+            if not sets[i].open:
                 self.on_closed(store, i)
 
 
@@ -108,8 +130,11 @@ class Member(IsetConstraint):
         self.element = element
         self.iset = iset
 
+    def args(self):
+        return (self.iset,)
+
     def activate(self, store):
-        store.ensure_member(self.iset, self.element)
+        store._insert(self.sets[0], self.element)
 
     def __repr__(self):
         return f"Member({self.element!r}, s{self.iset})"
@@ -122,27 +147,33 @@ class Inclusion(IsetConstraint):
         self.a = a
         self.b = b
 
+    def args(self):
+        return self.a, self.b
+
     def watches(self):
         return (self.a,), (self.b,)
 
     def on_inserted(self, store, iset, element):
-        store.ensure_member(self.b, element)
-        self._maybe_close_left(store)
+        a, b = self.sets
+        store._insert(b, element)
+        self._maybe_close_left(store, a, b)
 
     def on_closed(self, store, iset):
-        missing = store.known(self.a) - store.known(self.b)
+        a, b = self.sets
+        missing = a.known.keys() - b.known.keys()
         if missing:
             raise Inconsistency(
-                f"{store.name_of(self.a)} ⊆ {store.name_of(self.b)} violated: "
+                f"{a.name} ⊆ {b.name} violated: "
                 f"{sorted(missing, key=element_sort_key)} missing from closed superset"
             )
-        self._maybe_close_left(store)
+        self._maybe_close_left(store, a, b)
 
-    def _maybe_close_left(self, store):
+    @staticmethod
+    def _maybe_close_left(store, a, b):
         # Once the superset is closed and the known parts coincide, the
         # subset cannot grow either.
-        if store.is_closed(self.b) and store.known(self.a) == store.known(self.b):
-            store.close(self.a)
+        if not b.open and a.known.keys() == b.known.keys():
+            store._close(a)
 
     def __repr__(self):
         return f"Inclusion(s{self.a}, s{self.b})"
@@ -156,32 +187,37 @@ class Intersection(IsetConstraint):
         self.b = b
         self.c = c
 
+    def args(self):
+        return self.a, self.b, self.c
+
     def watches(self):
         return (self.a, self.b, self.c), (self.a, self.b)
 
     def on_inserted(self, store, iset, element):
-        if iset == self.c:
-            store.ensure_member(self.a, element)
-            store.ensure_member(self.b, element)
-        if iset == self.a and store.contains(self.b, element):
-            store.ensure_member(self.c, element)
-        if iset == self.b and store.contains(self.a, element):
-            store.ensure_member(self.c, element)
+        a, b, c = self.sets
+        if iset == c.id:
+            store._insert(a, element)
+            store._insert(b, element)
+        if iset == a.id and element in b.known:
+            store._insert(c, element)
+        if iset == b.id and element in a.known:
+            store._insert(c, element)
 
     def on_closed(self, store, iset):
-        if not (store.is_closed(self.a) and store.is_closed(self.b)):
+        a, b, c = self.sets
+        if a.open or b.open:
             return
         # Both operands are final: c is exactly their intersection.
-        inter = [e for e in store.known_in_order(self.a) if store.contains(self.b, e)]
-        stray = store.known(self.c) - set(inter)
+        inter = [e for e in a.known if e in b.known]
+        stray = c.known.keys() - set(inter)
         if stray:
             raise Inconsistency(
-                f"{store.name_of(self.c)} holds {sorted(stray, key=element_sort_key)} "
-                f"outside {store.name_of(self.a)} ∩ {store.name_of(self.b)}"
+                f"{c.name} holds {sorted(stray, key=element_sort_key)} "
+                f"outside {a.name} ∩ {b.name}"
             )
         for e in inter:
-            store.ensure_member(self.c, e)
-        store.close(self.c)
+            store._insert(c, e)
+        store._close(c)
 
     def __repr__(self):
         return f"Intersection(s{self.a}, s{self.b}, s{self.c})"
@@ -201,43 +237,47 @@ class Union(IsetConstraint):
         self.c = c
         self.pending: list = []
 
+    def args(self):
+        return self.a, self.b, self.c
+
     def watches(self):
         return (self.a, self.b, self.c), (self.a, self.b)
 
     def on_inserted(self, store, iset, element):
-        if iset in (self.a, self.b):
-            store.ensure_member(self.c, element)
-        if iset == self.c:
-            self._settle(store, element)
+        a, b, c = self.sets
+        if iset == a.id or iset == b.id:
+            store._insert(c, element)
+        if iset == c.id:
+            self._settle(store, a, b, element)
 
-    def _settle(self, store, element):
-        if store.contains(self.a, element) or store.contains(self.b, element):
+    def _settle(self, store, a, b, element):
+        if element in a.known or element in b.known:
             return
-        if store.is_closed(self.a):
-            store.ensure_member(self.b, element)
-        elif store.is_closed(self.b):
-            store.ensure_member(self.a, element)
+        if not a.open:
+            store._insert(b, element)
+        elif not b.open:
+            store._insert(a, element)
         elif element not in self.pending:
             self.pending.append(element)
             store.record(self.pending.pop)
 
     def on_closed(self, store, iset):
+        a, b, c = self.sets
         pending, self.pending = self.pending, []
         store.record(setattr, self, "pending", pending)
         for e in pending:
-            self._settle(store, e)
-        if store.is_closed(self.a) and store.is_closed(self.b):
-            for e in store.known_in_order(self.c):
-                if not (store.contains(self.a, e) or store.contains(self.b, e)):
+            self._settle(store, a, b, e)
+        if not (a.open or b.open):
+            for e in c.known:
+                if not (e in a.known or e in b.known):
                     raise Inconsistency(
-                        f"{store.name_of(self.c)} holds {e!r} outside "
-                        f"{store.name_of(self.a)} ∪ {store.name_of(self.b)}"
+                        f"{c.name} holds {e!r} outside {a.name} ∪ {b.name}"
                     )
-            for e in store.known_in_order(self.a):
-                store.ensure_member(self.c, e)
-            for e in store.known_in_order(self.b):
-                store.ensure_member(self.c, e)
-            store.close(self.c)
+            for e in list(a.known):
+                store._insert(c, e)
+            for e in list(b.known):
+                store._insert(c, e)
+            store._close(c)
 
     def __repr__(self):
         return f"Union(s{self.a}, s{self.b}, s{self.c})"
@@ -255,32 +295,35 @@ class Difference(IsetConstraint):
         self.b = b
         self.c = c
 
+    def args(self):
+        return self.a, self.b, self.c
+
     def watches(self):
         return (self.a, self.b, self.c), (self.a, self.b)
 
     def on_inserted(self, store, iset, element):
-        if iset == self.c:
-            store.ensure_member(self.a, element)
-            if store.contains(self.b, element):
+        a, b, c = self.sets
+        if iset == c.id:
+            store._insert(a, element)
+            if element in b.known:
                 raise Inconsistency(
-                    f"{element!r} is in both {store.name_of(self.c)} and "
-                    f"{store.name_of(self.b)} under difference"
+                    f"{element!r} is in both {c.name} and {b.name} under difference"
                 )
-        if iset == self.b and store.contains(self.c, element):
+        if iset == b.id and element in c.known:
             raise Inconsistency(
-                f"{element!r} is in both {store.name_of(self.c)} and "
-                f"{store.name_of(self.b)} under difference"
+                f"{element!r} is in both {c.name} and {b.name} under difference"
             )
-        if iset == self.a and store.is_closed(self.b) and not store.contains(self.b, element):
-            store.ensure_member(self.c, element)
+        if iset == a.id and not b.open and element not in b.known:
+            store._insert(c, element)
 
     def on_closed(self, store, iset):
-        if store.is_closed(self.b):
-            for e in store.known_in_order(self.a):
-                if not store.contains(self.b, e):
-                    store.ensure_member(self.c, e)
-            if store.is_closed(self.a):
-                store.close(self.c)
+        a, b, c = self.sets
+        if not b.open:
+            for e in list(a.known):
+                if e not in b.known:
+                    store._insert(c, e)
+            if not a.open:
+                store._close(c)
 
     def __repr__(self):
         return f"Difference(s{self.a}, s{self.b}, s{self.c})"
@@ -292,6 +335,12 @@ class IsetStore:
     Each iset has two lists of constraints, in posting order:
     _on_inserted[i] holds those watching i's insertions and _on_closed[i]
     those watching its closure (see IsetConstraint.watches).
+
+    The public methods take iset ids and raise ValueError for an unknown
+    one before they change anything; _get is that check, and post() runs
+    it on every argument of a constraint. Inside, the records are used
+    directly: _insert and _close take an Iset record, and the posted
+    constraints hold theirs, so draining the queue looks up no id.
 
     Single-threaded: one store per engine, externally serialized.
 
@@ -321,17 +370,20 @@ class IsetStore:
         if None in elements:
             raise ValueError("None is not an element")
         iid = len(self._isets)
-        self._isets.append(Iset(iid, name or f"s{iid}", {}, True))
+        s = Iset(iid, name or f"s{iid}", {}, True)
+        self._isets.append(s)
         self._on_inserted.append([])
         self._on_closed.append([])
         for e in elements:
-            self.ensure_member(iid, e)
+            self._insert(s, e)
         if not open:
-            self.close(iid)
+            self._close(s)
         return iid
 
     def _get(self, iset: int) -> Iset:
-        if not isinstance(iset, int) or not 0 <= iset < len(self._isets):
+        """The record of an iset id; ValueError for anything else, bools
+        included."""
+        if type(iset) is not int or not 0 <= iset < len(self._isets):
             raise ValueError(f"unknown iset id {iset!r}")
         return self._isets[iset]
 
@@ -362,28 +414,35 @@ class IsetStore:
         Inconsistency if the set is closed without it, and ValueError for
         None, which marks a closure.
         """
-        s = self._get(iset)
-        if element in s.known:
+        return self._insert(self._get(iset), element)
+
+    def close(self, iset: int) -> bool:
+        """Close the set. True if it was open; closing twice is a no-op."""
+        return self._close(self._get(iset))
+
+    def _insert(self, s: Iset, element: Element) -> bool:
+        """ensure_member on a record."""
+        known = s.known
+        if element in known:
             return False
         if element is None:
             raise ValueError("None is not an element")
         if not s.open:
             raise Inconsistency(f"{element!r} cannot enter closed set {s.name}")
-        s.known[element] = None
+        known[element] = None
         if self.trail is not None:
-            self.trail.append((s.known.pop, element))
-        self.queue.append((iset, element))
+            self.trail.append((known.pop, element))
+        self.queue.append((s.id, element))
         self.trace.append(("INSERT", s.name, element))
         return True
 
-    def close(self, iset: int) -> bool:
-        """Close the set. True if it was open; closing twice is a no-op."""
-        s = self._get(iset)
+    def _close(self, s: Iset) -> bool:
+        """close on a record."""
         if not s.open:
             return False
         s.open = False
         self.record(setattr, s, "open", True)
-        self.queue.append((iset, None))
+        self.queue.append((s.id, None))
         self.trace.append(("CLOSE", s.name))
         return True
 
@@ -391,11 +450,15 @@ class IsetStore:
     # constraints and propagation
 
     def post(self, constraint: IsetConstraint) -> None:
-        """File a constraint under the isets it watches and replay their
-        history against it."""
+        """Resolve the constraint's arguments to their records, file it
+        under the isets it watches and replay their history against it.
+
+        Every argument is validated before anything is recorded."""
+        sets = tuple(map(self._get, constraint.args()))
         inserted, closed = constraint.watches()
-        for i in (*inserted, *closed):
-            self._get(i)
+        if not {*inserted, *closed} <= {s.id for s in sets}:
+            raise ValueError(f"{constraint!r} watches an iset outside its args()")
+        constraint.sets = sets
         for i in dict.fromkeys(inserted):
             self._on_inserted[i].append(constraint)
         for i in dict.fromkeys(closed):

@@ -1,0 +1,52 @@
+"""The summary that tools/ab_pairs.py prints for each metric, on fixed
+numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_pairs)
+
+PARENT = [10, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # quartiles 12.25 / 14.5 / 16.75
+
+
+def test_quartiles_are_inclusive_and_a_single_run_is_its_own():
+    assert ab_pairs.quartiles(PARENT) == (12.25, 14.5, 16.75)
+    assert ab_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_a_gain_holds_when_every_pair_wins_by_more_than_the_parent_iqr():
+    row = ab_pairs.summarise(PARENT, [p - 5 for p in PARENT], "lower")
+    assert row["wins"] == 10 and row["pairs"] == 10
+    assert row["parent"] == (12.25, 14.5, 16.75)
+    assert row["change"] == (7.25, 9.5, 11.75)
+    assert row["gain_holds"] is True  # gap 5 > IQR 4.5
+
+
+def test_a_gain_does_not_hold_when_the_gap_is_within_the_parent_iqr():
+    row = ab_pairs.summarise(PARENT, [p - 4 for p in PARENT], "lower")
+    assert row["wins"] == 10
+    assert row["gain_holds"] is False  # gap 4 <= IQR 4.5
+
+
+@pytest.mark.parametrize("lost, tied, holds", [(1, 0, True), (2, 0, False), (0, 2, False)])
+def test_nine_tenths_of_the_pairs_must_be_won_and_ties_count_for_neither(lost, tied, holds):
+    change = [p - 10 for p in PARENT]
+    for i in range(lost):
+        change[i] = PARENT[i] + 1
+    for i in range(lost, lost + tied):
+        change[i] = PARENT[i]
+    row = ab_pairs.summarise(PARENT, change, "lower")
+    assert row["wins"] == 10 - lost - tied
+    assert row["gain_holds"] is holds
+
+
+def test_higher_is_better_turns_the_comparison_round():
+    up = ab_pairs.summarise(PARENT, [p + 5 for p in PARENT], "higher")
+    down = ab_pairs.summarise(PARENT, [p + 5 for p in PARENT], "lower")
+    assert (up["wins"], up["gain_holds"]) == (10, True)
+    assert (down["wins"], down["gain_holds"]) == (0, False)

@@ -95,7 +95,7 @@ def test_builtin_arity_checked_at_post():
         eng.post_fd_constraint("no_such_thing", [v, v])
 
 
-@pytest.mark.parametrize("vid", [-1, 1, "x", 0.0])
+@pytest.mark.parametrize("vid", [-1, 1, "x", 0.0, True, False])
 def test_unknown_variable_id_is_a_usage_error(vid):
     eng = Engine()
     v = eng.new_fd_variable(eng.new_iset([1]))

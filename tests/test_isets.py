@@ -6,16 +6,17 @@ import random
 
 import pytest
 
-from icsp import Inconsistency, IsetStore
+from icsp import Engine, Inconsistency, IsetStore, ScriptedSource
 from icsp.isets import (
     Difference,
     Inclusion,
     Intersection,
+    IsetConstraint,
     Member,
     Union,
 )
 
-from instances import random_algebra_instance
+from instances import engine_state, random_algebra_instance
 
 
 def intersection_store():
@@ -483,3 +484,169 @@ def test_repeated_argument_forms():
     store.ensure_member(b, 1)
     with pytest.raises(Inconsistency):
         store.fixpoint()
+
+
+# ----------------------------------------------------------------------
+# ids are checked at the public boundary, records are used inside
+
+def test_draining_resolves_no_ids():
+    # Posting resolves every argument once; from then on the handlers work
+    # on records, so the drain never looks an id up. The network has a
+    # union holding a pending element when one operand closes, an
+    # intersection, a difference, and an inclusion that closes its left
+    # side.
+    store = IsetStore()
+    a = store.new_iset([1], name="a")
+    b = store.new_iset([2], name="b")
+    u = store.new_iset(name="u")
+    y = store.new_iset([3, 4], open=False, name="y")
+    i = store.new_iset(name="i")
+    d = store.new_iset(name="d")
+    union = Union(a, b, u)
+    for constraint in (union, Intersection(u, y, i), Difference(y, a, d), Inclusion(d, y)):
+        store.post(constraint)
+    calls = []
+    get = store._get
+    store._get = lambda iset: calls.append(iset) or get(iset)
+
+    def drain():
+        before = len(calls)
+        store.fixpoint()
+        assert len(calls) == before
+
+    drain()
+    store.ensure_member(u, 7)
+    store.ensure_member(b, 3)
+    drain()
+    assert union.pending == [7]
+    assert store.known(i) == {3}
+    store.close(a)
+    drain()
+    assert union.pending == []
+    assert store.known_in_order(b) == [2, 3, 7]
+    assert store.known_in_order(d) == [3, 4]
+    assert store.is_closed(d)
+    assert store.trace[-3:] == [("INSERT", "d", 3), ("INSERT", "d", 4), ("CLOSE", "d")]
+
+
+BAD_IDS = [-1, 2, "x", 1.0, True]  # with two isets, 2 is past the end; True is no id
+
+BOUNDARY_CALLS = {
+    "name_of": lambda eng, bad: eng.isets.name_of(bad),
+    "known": lambda eng, bad: eng.isets.known(bad),
+    "known_in_order": lambda eng, bad: eng.isets.known_in_order(bad),
+    "contains": lambda eng, bad: eng.isets.contains(bad, 1),
+    "is_closed": lambda eng, bad: eng.isets.is_closed(bad),
+    "ensure_member": lambda eng, bad: eng.isets.ensure_member(bad, 9),
+    "close": lambda eng, bad: eng.isets.close(bad),
+    "post Member": lambda eng, bad: eng.isets.post(Member(9, bad)),
+    "post Inclusion left": lambda eng, bad: eng.isets.post(Inclusion(bad, 0)),
+    "post Inclusion right": lambda eng, bad: eng.isets.post(Inclusion(0, bad)),
+    **{f"post {kind.__name__} arg {at}":
+       lambda eng, bad, kind=kind, at=at: eng.isets.post(kind(*(bad if k == at else k % 2
+                                                                 for k in range(3))))
+       for kind in (Union, Intersection, Difference) for at in range(3)},
+    "Engine.acquire": lambda eng, bad: eng.acquire(bad),
+    "register_source": lambda eng, bad: eng.register_source(bad, ScriptedSource([9])),
+    "new_fd_variable": lambda eng, bad: eng.new_fd_variable(bad),
+}
+
+
+def boundary_snapshot(eng):
+    store = eng.isets
+    return (engine_state(eng), list(store.queue), list(eng.trace), list(eng.acquisitions),
+            [list(cs) for cs in store._on_inserted], [list(cs) for cs in store._on_closed],
+            dict(eng._sources), len(eng.variables))
+
+
+@pytest.mark.parametrize("call", BOUNDARY_CALLS.values(), ids=BOUNDARY_CALLS.keys())
+@pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+def test_every_public_id_taking_method_rejects_a_bad_id_and_changes_nothing(call, bad):
+    eng = Engine()
+    a = eng.new_iset([1], name="a")
+    b = eng.new_iset([2], name="b")
+    eng.register_source(a, ScriptedSource([5]))
+    eng.post_iset_constraint(Union(a, b, a))
+    eng.new_fd_variable(a, name="x")
+    assert eng.solve() is True
+    before = boundary_snapshot(eng)
+    with pytest.raises(ValueError):
+        call(eng, bad)
+    assert boundary_snapshot(eng) == before
+
+
+def test_post_rejects_a_watched_iset_outside_args_and_records_nothing():
+    store = IsetStore()
+    a = store.new_iset([1])
+    b = store.new_iset()
+
+    class Stray(IsetConstraint):
+        def args(self):
+            return (a,)
+
+        def watches(self):
+            return (a, b), ()
+
+    stray = Stray()
+    with pytest.raises(ValueError):
+        store.post(stray)
+    assert store._on_inserted == [[], []] and store._on_closed == [[], []]
+    assert stray.sets == ()
+
+
+class Doubled(IsetConstraint):
+    """{2x | x in a} ⊆ b, and b closes when a does: a set constraint written
+    against the documented contract alone. It keeps its own list of the
+    elements it forwarded, with an undo record for each addition."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.forwarded = []
+
+    def args(self):
+        return self.a, self.b
+
+    def watches(self):
+        return (self.a,), (self.a,)
+
+    def on_inserted(self, store, iset, element):
+        _, b = self.sets
+        if element not in self.forwarded:
+            self.forwarded.append(element)
+            store.record(self.forwarded.pop)
+        store._insert(b, 2 * element)
+
+    def on_closed(self, store, iset):
+        store._close(self.sets[1])
+
+
+def test_a_custom_constraint_works_through_posting_replay_and_search():
+    eng = Engine()
+    a = eng.new_iset([1, 2], name="a")
+    b = eng.new_iset(name="b")
+    eng.register_source(a, ScriptedSource([3]))
+    doubled = Doubled(a, b)
+    eng.post_iset_constraint(doubled)  # activation replays a's history
+    assert eng.isets.known_in_order(b) == [2, 4]
+    assert doubled.forwarded == [1, 2]
+    # Four pairwise different variables over a: propagation finds nothing to
+    # remove, but search must acquire 3 and exhaust a, and then backtrack.
+    xs = [eng.new_fd_variable(a, name=f"x{k}") for k in range(4)]
+    seen = []
+
+    def ne(values):
+        seen.append(list(doubled.forwarded))
+        return values[0] != values[1]
+
+    for k, x in enumerate(xs):
+        for z in xs[k + 1:]:
+            eng.post_fd_constraint("ne", [x, z], verifier=ne)
+    assert eng.solve() is True
+    before = engine_state(eng)
+    assert eng.label() is None
+    assert [1, 2, 3] in seen  # search acquired 3, and it reached b doubled
+    assert ("INSERT", "b", 6) in eng.trace and ("CLOSE", "b") in eng.trace
+    assert engine_state(eng) == before
+    assert doubled.forwarded == [1, 2]
+    assert eng.isets.known_in_order(b) == [2, 4] and not eng.isets.is_closed(b)
+    assert eng.isets.trail is None

@@ -54,7 +54,7 @@ def test_label_closed_empty_domain_is_exhausted():
     assert eng.label([v]) is None
 
 
-@pytest.mark.parametrize("vid", [-1, 2, 5, "x", 0.0])
+@pytest.mark.parametrize("vid", [-1, 2, 5, "x", 0.0, True, False])
 def test_label_rejects_an_unknown_variable_id(vid):
     # -1 would label the last variable, and 5 is past the end; a string or
     # a float is no id at all.

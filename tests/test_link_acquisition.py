@@ -130,7 +130,7 @@ def test_acquire_on_closed_set_is_a_usage_error():
         eng.acquire(d)
 
 
-@pytest.mark.parametrize("requesting_var", [-1, 1, "x", 0.0])
+@pytest.mark.parametrize("requesting_var", [-1, 1, "x", 0.0, True, False])
 def test_acquire_for_an_unknown_variable_is_a_usage_error(requesting_var):
     # -1 would name the last variable, and 1 is past the end; a string or a
     # float is no id at all.
