@@ -39,7 +39,7 @@ from .fd import (
     SupportGraph,
     resolve_verifier,
 )
-from .isets import Element, IsetConstraint, IsetStore
+from .isets import Element, IsetConstraint, IsetStore, check_element, is_element
 
 _SEARCH_ALLOWED = ALLOWED_TRANSITIONS | SEARCH_TRANSITIONS
 
@@ -55,9 +55,6 @@ class Engine:
         # (iset id, requesting var id or None, element or None) per acquire call
         self.acquisitions: list = []
         self._fd_constraints: list[FdConstraint] = []
-        # constraint id -> {var id: the constraint's arc for it}; see
-        # post_fd_constraint
-        self._arcs: list[dict[int, tuple]] = []
         self._links: dict[int, list[int]] = {}
         self._sources: dict[int, AcquisitionSource] = {}
         # iset id -> the replies search undid, oldest first; see acquire
@@ -124,42 +121,34 @@ class Engine:
     def def_domain(self, vid: int, iset: int) -> None:
         """Link a variable to its definition domain (at most one per variable).
 
-        Elements already known to the iset become candidates immediately."""
+        The variable keeps the iset's id in def_domain and its Iset record
+        in domain. Elements already known to the iset become candidates
+        immediately."""
         var = self.variable(vid)
         if var.def_domain is not None:
             raise ValueError(f"{var.name} already has a definition domain")
-        self.isets.name_of(iset)  # validates the id
+        var.domain = self.isets._get(iset)  # validates the id
         var.def_domain = iset
         self._links.setdefault(iset, []).append(vid)
-        for element in self.isets.known_in_order(iset):
+        for element in list(var.domain.known):
             self._enqueue(var, element)
 
     def post_fd_constraint(self, name: str, args: Sequence[int],
                            verifier: "Callable[[list], bool] | None" = None) -> int:
         """Register a constraint over the given variables.
 
-        With verifier=None the name must resolve to a built-in. Constraints
-        should be posted before the first kac_fixpoint call: values already
-        present are not re-checked against later constraints.
+        With verifier=None the name must resolve to a built-in; otherwise
+        verifier must be callable, and becomes the constraint's verify,
+        which the engine calls with one ground tuple at a time (see
+        FdConstraint). Anything invalid raises ValueError before anything
+        is registered. Constraints should be posted before the first
+        kac_fixpoint call: values already present are not re-checked
+        against later constraints.
 
-        Posting builds the constraint's arcs in one pass, one per distinct
-        argument variable w: the tuple
-        (constraint, w, others, residues, k, spread). others holds the
-        other distinct argument variables, the ones a support for a value
-        of w must assign, in the order of every support tuple; it is laid
-        out once here instead of at every seek and revision. residues maps
-        a value of w to the all-present support that search's revise found
-        for it last: a hint, sound to reuse while every value in it is
-        still present, so it needs no undo when search backtracks. k is
-        w's position among the distinct arguments, where a value of w is
-        inserted into a support, and spread is the constraint's map from
-        arguments to distinct arguments, None when no argument repeats:
-        together they lay out a ground tuple without searching the
-        arguments (see _find_tuple). Arcs are plain tuples because posting
-        builds one per argument, and a class instance costs several times
-        as much to create. Support seeking walks the arcs on a variable;
-        revise walks, from a variable that lost values, the arcs of the
-        same constraints towards the other variables.
+        Each variable gets the constraint's arc for it, in posting order.
+        Support seeking walks the arcs on a variable; revise walks, from a
+        variable that lost values, the arcs of the same constraints towards
+        the other variables.
         """
         for vid in args:
             self.variable(vid)
@@ -167,16 +156,13 @@ class Engine:
             lo, hi, verifier = resolve_verifier(name)
             if len(args) < lo or (hi is not None and len(args) > hi):
                 raise ValueError(f"{name} takes {lo}{'' if hi == lo else '+'} arguments")
-        cid = len(self._fd_constraints)
-        constraint = FdConstraint(cid, name, args, verifier)
+        elif not callable(verifier):
+            raise ValueError(f"verifier for {name} is not callable: {verifier!r}")
+        constraint = FdConstraint(len(self._fd_constraints), name, args, verifier)
         self._fd_constraints.append(constraint)
-        distinct, arcs, variables = constraint.distinct_args(), {}, self.variables
-        for k, w in enumerate(distinct):
-            arcs[w] = arc = (constraint, w, distinct[:k] + distinct[k + 1:], {},
-                             k, constraint.spread)
-            variables[w].arcs.append(arc)
-        self._arcs.append(arcs)
-        return cid
+        for w, arc in constraint.arcs.items():
+            self.variables[w].arcs.append(arc)
+        return constraint.id
 
     def fd_constraint(self, cid: int) -> FdConstraint:
         return self._fd_constraints[cid]
@@ -187,7 +173,8 @@ class Engine:
     def enqueue_candidate(self, vid: int, element: Element) -> None:
         """Queue an element for checking; no-op unless the pair is unknown."""
         var = self.variable(vid)
-        if var.def_domain is None or not self.isets.contains(var.def_domain, element):
+        check_element(element)
+        if var.domain is None or element not in var.domain.known:
             raise ValueError(
                 f"{element!r} is not in the definition domain of {var.name}"
             )
@@ -215,8 +202,9 @@ class Engine:
         None if the reply is exhaustion (which closes the iset). An iset
         without a source is treated as immediately exhausted. A fresh reply
         that repeats an element the iset already knows is a contract
-        violation and raises SourceContractError rather than looping. A
-        replayed element that the iset has come to know by another route
+        violation and raises SourceContractError rather than looping; so
+        does one that is neither None nor an element, before anything is
+        recorded or logged. A replayed element that the iset has come to know by another route
         since search undid it is dropped, and the next reply taken.
 
         In search the trail records that undoing the acquisition, or the
@@ -243,6 +231,10 @@ class Engine:
             element = replay.popleft()
         else:
             element = source.next(iset, ctx) if source is not None else None
+            if element is not None and not is_element(element):
+                raise SourceContractError(
+                    f"source for {s.name} replied {element!r}, which is not an element"
+                )
         isets.record(replay.appendleft, element)
         self.acquisitions.append((iset, requesting_var, element))
         self.trace.append(("ACQUIRE", s.name, element))
@@ -325,7 +317,7 @@ class Engine:
 
     def _open(self, var: FdVariable) -> bool:
         """Whether the variable's definition domain can still grow."""
-        return var.def_domain is not None and not self.isets.is_closed(var.def_domain)
+        return var.domain is not None and var.domain.open
 
     def _check_candidate(self, var: FdVariable, element: Element) -> None:
         """Seek support for an observed pair against every constraint on its
@@ -342,7 +334,8 @@ class Engine:
         order of a recursive check, which fixes the trace. A cascade may
         remove a pair whose frame is still waiting; the state guard detects
         that."""
-        observed, variables, arcs_of = PairState.OBSERVED, self.variables, self._arcs
+        observed, variables = PairState.OBSERVED, self.variables
+        constraints = self._fd_constraints
         stack = [(var, element, iter(var.arcs))]
         while stack:
             var, element, arcs = stack[-1]
@@ -357,7 +350,7 @@ class Engine:
             stack.pop()
             dependents = self.graph.dependents((var.id, element))
             self._move(var, element, PairState.REMOVED)
-            stack.extend((variables[d], x, iter((arcs_of[cid][d],)))
+            stack.extend((variables[d], x, iter((constraints[cid].arcs[d],)))
                          for (d, x), cid in reversed(dependents))
 
     def _seek_support(self, var: FdVariable, element: Element,
@@ -375,7 +368,7 @@ class Engine:
         reaches a tuple mixing present and observed values first (possible
         from arity 3), and the reliance arcs and RELY entries would change.
         """
-        constraint, _, others, _, _, _ = arc
+        cid, _, others, _, _, _ = arc
         support = self._find_or_acquire(element, arc)
         if support is None:
             return None
@@ -383,16 +376,16 @@ class Engine:
             (w, x) for w, x in zip(others, support)
             if self.variables[w].state(x) is not PairState.PRESENT
         ]
-        newly = []
+        newly, name = [], self._fd_constraints[cid].name
         for w, x in supporters:
             wvar = self.variables[w]
             if wvar.state(x) is PairState.CANDIDATE:
                 self._move(wvar, x, PairState.OBSERVED)
                 newly.append((wvar, x))
             self.trace.append(
-                ("RELY", (var.name, element), (wvar.name, x), constraint.name)
+                ("RELY", (var.name, element), (wvar.name, x), name)
             )
-        self.graph.set_supporters((var.id, element), constraint.id, supporters)
+        self.graph.set_supporters((var.id, element), cid, supporters)
         return newly
 
     def _find_or_acquire(self, element: Element, arc: tuple) -> "tuple | None":
@@ -409,7 +402,7 @@ class Engine:
         an exhausted reply, none). Its first success is the tuple a full
         re-enumeration would reach first.
         """
-        constraint, _, others, _, _, _ = arc
+        cid, _, others, _, _, _ = arc
         pools = self._pools(others, present_only=False)
         fresh = None
         while True:
@@ -423,7 +416,7 @@ class Engine:
             else:
                 return None
             self.acquire(target.def_domain, requesting_var=target.id,
-                         requesting_constraint=constraint.name)
+                         requesting_constraint=self._fd_constraints[cid].name)
             grown = self._pools(others, present_only=False)
             fresh = {x for pool, longer in zip(pools, grown) for x in longer[len(pool):]}
             pools = grown
@@ -455,12 +448,13 @@ class Engine:
         loops over its single pool and tests [element, x] or [x, element];
         any other arc inserts the element at its position k among the
         others and, when an argument repeats, spreads the distinct values
-        over the arguments. verify is looked up on the constraint at every
-        call, so a wrapper installed on it after posting sees every test."""
+        over the arguments. The constraint's verify is read at the start of
+        every call and called directly, so a function put in its place
+        after posting receives every test."""
         if fresh is not None and not fresh:
             return None
-        constraint, _, _, _, k, spread = arc
-        verify = constraint.verify
+        cid, _, _, _, k, spread = arc
+        verify = self._fd_constraints[cid].verify
         if spread is None and len(pools) == 1:
             pool = pools[0] if fresh is None else [x for x in pools[0] if x in fresh]
             if k:
@@ -684,7 +678,8 @@ class Engine:
         change no residue. Arcs over three or more distinct variables are
         always revised: one of their other variables may have changed, and
         revising them later, at its pop, would reorder the removals."""
-        variables, arcs, present = self.variables, self._arcs, PairState.PRESENT
+        variables, present = self.variables, PairState.PRESENT
+        constraints = self._fd_constraints
         work = deque(v.id for v in seeds)
         seen: dict = {}  # var id -> len(removed) at its previous pop
         while work:
@@ -692,8 +687,8 @@ class Engine:
             lost = len(variables[vid].removed)
             unchanged = seen.get(vid) == lost
             seen[vid] = lost
-            for c, _, _, _, _, _ in variables[vid].arcs:
-                for arc in arcs[c.id].values():
+            for cid, _, _, _, _, _ in variables[vid].arcs:
+                for arc in constraints[cid].arcs.values():
                     _, w, others, residues, _, _ = arc
                     if w == vid or (unchanged and len(others) == 1):
                         continue

@@ -18,10 +18,13 @@ class Inconsistency(IcspError):
 
 
 class SourceContractError(IcspError):
-    """An acquisition source produced an element its set already knows.
+    """An acquisition source broke its contract: it replied with an element
+    its set already knows, or with a value that is neither None nor an
+    element (see isets.is_element).
 
     This is a defect in the problem setup rather than an inconsistency of
     the constraints, so it deliberately does not subclass Inconsistency:
-    search must not mask it by backtracking, and repeated elements must
-    surface as a diagnostic instead of a propagation loop.
+    search must not mask it by backtracking, repeated elements must
+    surface as a diagnostic instead of a propagation loop, and a reply that
+    is no element never enters a set.
     """

@@ -24,7 +24,7 @@ from collections import deque
 from enum import Enum
 from typing import Callable, Sequence
 
-from .isets import Element
+from .isets import Element, Iset
 
 
 class PairState(Enum):
@@ -57,13 +57,16 @@ class FdVariable:
     def __init__(self, vid: int, name: str):
         self.id = vid
         self.name = name
+        # The definition domain's iset id, and its Iset record (see
+        # Engine.def_domain).
         self.def_domain: "int | None" = None
+        self.domain: "Iset | None" = None
         self.present: list = []
         self.removed: list = []
         self.candidates: deque = deque()
         self.states: dict = {}
-        # One arc per constraint on this variable, in posting order (see
-        # Engine.post_fd_constraint).
+        # One arc per constraint on this variable, in posting order: the
+        # one that constraint's arcs hold for it.
         self.arcs: list = []
         # Set while search has committed this variable to a single value.
         self.bound_to: "Element | None" = None
@@ -76,47 +79,49 @@ class FdVariable:
 
 
 class FdConstraint:
-    """A named n-ary relation checked by a ground-tuple verifier.
+    """A named n-ary relation, tested one ground tuple at a time.
 
-    The verifier must be total and deterministic over ground tuples of the
-    constraint's arity. Arguments may repeat a variable; verification
-    substitutes the same element at every occurrence. The engine lays out
-    each ground tuple itself, per arc (see Engine.post_fd_constraint), and
-    hands it to verify as a list built for that one call.
+    verify is the function the constraint was posted with, or the built-in
+    that resolve_verifier returned for its name, kept as it is. The engine
+    calls it with a list built for that one call, in argument order, with
+    the same element at every repeated argument, and never reads the list
+    again; only the truth value of the result is used. The function must be
+    total and deterministic over ground tuples of the constraint's arity.
+    The engine reads constraint.verify at every support search, so a
+    function put in its place, even after posting, receives every test.
+
+    arcs maps each distinct argument variable's id to its arc, the tuple
+    (cid, w, others, residues, k, spread) for variable w. cid is the
+    constraint's id: an arc names its constraint by id, not by reference,
+    so a constraint and its arcs form no reference cycle and a dropped
+    engine is freed at once, without the cycle collector. others holds the
+    other distinct argument variables, the ones a support for a value of w
+    must assign, in the order of every support tuple. residues maps a value
+    of w to the all-present support that search's revise found for it
+    last: a hint, sound to reuse while every value in it is still present,
+    so it needs no undo when search backtracks. k is w's position among the
+    distinct arguments, where a value of w is inserted into a support, and
+    spread maps each argument to its position among the distinct
+    arguments, None when no argument repeats: together they lay out a
+    ground tuple without searching the arguments (see Engine._find_tuple).
+    Arcs are plain tuples because posting builds one per argument, and a
+    class instance costs several times as much to create.
     """
 
     def __init__(self, cid: int, name: str, args: Sequence[int],
-                 verifier: Callable[[list], bool]):
+                 verify: Callable[[list], object]):
         if len(args) < 1:
             raise ValueError("constraint needs at least one argument")
         self.id = cid
         self.name = name
         self.args = list(args)
-        self.verifier = verifier
-        self._distinct = tuple(dict.fromkeys(self.args))
-        # Position in distinct_args() of each argument; None when no
-        # argument repeats, so a tuple over distinct_args() is the values.
-        self.spread = (None if len(self._distinct) == len(self.args)
-                       else tuple(map(self._distinct.index, self.args)))
-
-    def distinct_args(self) -> tuple:
-        """The argument variables without repeats, in first-occurrence order."""
-        return self._distinct
-
-    def verify(self, values: Sequence[Element]) -> bool:
-        """Check one ground tuple, in argument order, against the verifier.
-
-        Every tuple test goes through here, so a wrapper installed on the
-        instance sees them all. A list reaches the verifier as it is, not
-        copied: the engine builds a new one for every call and never reads
-        it again. Any other sequence is copied into a list first."""
-        if len(values) != len(self.args):
-            raise ValueError(
-                f"{self.name} expects {len(self.args)} values, got {len(values)}"
-            )
-        if type(values) is not list:
-            values = list(values)
-        return bool(self.verifier(values))
+        self.verify = verify
+        distinct = tuple(dict.fromkeys(self.args))
+        spread = (None if len(distinct) == len(self.args)
+                  else tuple(map(distinct.index, self.args)))
+        self.arcs: "dict[int, tuple]" = {}
+        for k, w in enumerate(distinct):
+            self.arcs[w] = (cid, w, distinct[:k] + distinct[k + 1:], {}, k, spread)
 
     def __repr__(self):
         return f"FdConstraint({self.name}/{len(self.args)})"
@@ -151,12 +156,6 @@ class SupportGraph:
 
     def observed_elements(self, vid: int) -> list:
         return list(self._observed.get(vid, ()))
-
-    @property
-    def arcs(self) -> list:
-        """Every arc as (supported pair, supporter pair, constraint id)."""
-        return [(p, q, cid) for p, by_cid in self._supporters.items()
-                for cid, supporters in by_cid.items() for q in supporters]
 
     def set_supporters(self, supported, cid: int, supporters) -> None:
         """Record that `supported` relies on exactly `supporters` for cid,

@@ -15,8 +15,10 @@ posting resolves a set constraint's arguments to their Iset records once,
 validating each id, and its handlers work on those records from then on
 (see IsetConstraint).
 
-Elements are ground scalars only: ints or lowercase-atom strings. No
-variables, no nested sets, and never None, which marks a closure.
+Elements are ground scalars only: ints or lowercase-atom strings, exactly
+what parse_element yields. No variables, no nested sets, no bools, and
+never None, which marks a closure. Every public route by which an element
+enters a set checks it (see is_element).
 """
 
 from __future__ import annotations
@@ -43,6 +45,19 @@ def parse_element(text: str) -> Element:
     if _ATOM_RE.match(text):
         return text
     raise ValueError(f"not an element: {text!r}")
+
+
+def is_element(x) -> bool:
+    """Whether x is an element: an int (not a bool) or a str matching the
+    atom pattern, the values parse_element yields."""
+    return type(x) is int or (type(x) is str and _ATOM_RE.match(x) is not None)
+
+
+def check_element(x) -> Element:
+    """x, if it is an element; ValueError otherwise."""
+    if not is_element(x):
+        raise ValueError(f"not an element: {x!r}")
+    return x
 
 
 def format_element(element: Element) -> str:
@@ -82,7 +97,9 @@ class IsetConstraint:
     looks up no id: it reads s.known (an insertion-ordered dict of the known
     elements), s.open and s.name directly, and changes a set only through
     the store, with store._insert(s, element) and store._close(s), the
-    record-taking forms of ensure_member and close. Handlers still receive
+    record-taking forms of ensure_member and close; _insert does not check
+    that its element is one (see is_element), so a constraint inserts only
+    elements it read from a set or checked itself. Handlers still receive
     the event's iset as an id, and tell the roles of a watched iset apart by
     comparing it with the records' ids.
 
@@ -124,10 +141,11 @@ class IsetConstraint:
 
 
 class Member(IsetConstraint):
-    """element ∈ iset, enforced once at posting time."""
+    """element ∈ iset, enforced once at posting time. ValueError if element
+    is not an element."""
 
     def __init__(self, element: Element, iset: int):
-        self.element = element
+        self.element = check_element(element)
         self.iset = iset
 
     def args(self):
@@ -365,10 +383,12 @@ class IsetStore:
 
     def new_iset(self, elements: Iterable[Element] = (), *, open: bool = True,
                  name: "str | None" = None) -> int:
-        """Create an iset with the given (deduplicated) initial known part."""
+        """Create an iset with the given (deduplicated) initial known part.
+        ValueError, before anything is created, if one is not an element."""
         elements = list(elements)
-        if None in elements:
-            raise ValueError("None is not an element")
+        for e in elements:
+            if not is_element(e):  # not check_element: one call per element, not two
+                raise ValueError(f"not an element: {e!r}")
         iid = len(self._isets)
         s = Iset(iid, name or f"s{iid}", {}, True)
         self._isets.append(s)
@@ -412,21 +432,19 @@ class IsetStore:
         Returns True if it was newly inserted (queueing the event
         (iset, element)), False if it was already known. Raises
         Inconsistency if the set is closed without it, and ValueError for
-        None, which marks a closure.
+        anything that is not an element, None included.
         """
-        return self._insert(self._get(iset), element)
+        return self._insert(self._get(iset), check_element(element))
 
     def close(self, iset: int) -> bool:
         """Close the set. True if it was open; closing twice is a no-op."""
         return self._close(self._get(iset))
 
     def _insert(self, s: Iset, element: Element) -> bool:
-        """ensure_member on a record."""
+        """ensure_member on a record, for an element already checked."""
         known = s.known
         if element in known:
             return False
-        if element is None:
-            raise ValueError("None is not an element")
         if not s.open:
             raise Inconsistency(f"{element!r} cannot enter closed set {s.name}")
         known[element] = None

@@ -40,7 +40,7 @@ def engine_kac_holds(engine):
     """Definition check at quiescence: every present value of every variable
     has a satisfying all-present tuple for every constraint on it."""
     domains = {v.id: list(v.present) for v in engine.variables}
-    constraints = [(c.name, c.args, c.verifier) for c in engine.fd_constraints()]
+    constraints = [(c.name, c.args, c.verify) for c in engine.fd_constraints()]
     return is_known_arc_consistent(domains, constraints)
 
 

@@ -226,7 +226,8 @@ def test_support_by_observed_records_arc():
 def test_flush_clears_graph_and_promotes():
     eng, _isets, (x, _y, z) = golden_engine()
     eng.solve()
-    assert eng.graph.nodes == {} and eng.graph.arcs == []
+    assert eng.graph.nodes == {}
+    assert eng.graph._supporters == {} and eng.graph._dependents == {}
     assert eng.pair_state(x, 1) is PairState.PRESENT
     assert eng.pair_state(z, 2) is PairState.PRESENT
 

@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from icsp import Engine, Inconsistency, IsetStore, ScriptedSource
+from icsp import (
+    AcquisitionSource,
+    Engine,
+    Inconsistency,
+    IsetStore,
+    ScriptedSource,
+    SourceContractError,
+)
 from icsp.isets import (
     Difference,
     Inclusion,
@@ -130,16 +137,48 @@ def test_post_rejects_an_unknown_id_in_any_argument_and_records_nothing(make, ba
     assert store.trace == [("INSERT", "s0", 1), ("INSERT", "s0", 2)]
 
 
-def test_none_is_not_an_element():
-    # An event (iset, None) marks a closure, so None never enters a set.
-    store = IsetStore()
-    s = store.new_iset([1])
-    with pytest.raises(ValueError):
-        store.ensure_member(s, None)
-    with pytest.raises(ValueError):
-        store.new_iset([2, None])
-    assert store.known(s) == {1} and len(store._isets) == 1
-    assert list(store.queue) == [(s, 1)]
+class Replies(AcquisitionSource):
+    """Replies the same value to every call."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def next(self, iset, ctx):
+        return self.reply
+
+
+# Each route by which an element enters a set, as (error, call), on the
+# engine of test_none_is_not_an_element: iset 0 = s, iset 1 = t with a
+# source that replies bad, variable 0 over s.
+ELEMENT_ROUTES = {
+    "new_iset": (ValueError, lambda eng, bad: eng.new_iset([2, bad])),
+    "ensure_member": (ValueError, lambda eng, bad: eng.ensure_member(0, bad)),
+    "enqueue_candidate": (ValueError, lambda eng, bad: eng.enqueue_candidate(0, bad)),
+    "Member": (ValueError, lambda eng, bad: eng.post_iset_constraint(Member(bad, 0))),
+    "source reply": (SourceContractError, lambda eng, bad: eng.acquire(1)),
+}
+NOT_ELEMENTS = [None, True, False, 1.0, 2.5, (1,), "Abc", "a b", [1]]
+
+
+@pytest.mark.parametrize("route, bad", [
+    (route, bad) for route in ELEMENT_ROUTES for bad in NOT_ELEMENTS
+    if not (route == "source reply" and bad is None)  # a None reply is exhaustion
+], ids=repr)
+def test_none_is_not_an_element(route, bad):
+    # An event (iset, None) marks a closure, so None never enters a set; nor
+    # does anything else that parse_element cannot yield, a bool equal to a
+    # known int included. Every route checks before it changes anything.
+    eng = Engine()
+    s = eng.new_iset([1], name="s")
+    t = eng.new_iset(name="t")
+    eng.register_source(t, Replies(bad))
+    eng.new_fd_variable(s, name="x")
+    assert eng.solve() is True
+    error, call = ELEMENT_ROUTES[route]
+    before = boundary_snapshot(eng)
+    with pytest.raises(error):
+        call(eng, bad)
+    assert boundary_snapshot(eng) == before
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ def checked_binds(engine):
     """Replace engine._bind by a version that checks every bind against ac3;
     returns the list that counts the binds it checked."""
     bind, checked = engine._bind, []
-    constraints = [(c.name, c.args, c.verifier) for c in engine.fd_constraints()]
+    constraints = [(c.name, c.args, c.verify) for c in engine.fd_constraints()]
 
     def bind_and_check(var, value):
         domains = {v.id: list(v.present) for v in engine.variables}

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from icsp import Engine, Inconsistency, RangeSource, ScriptedSource
+from icsp import Engine, Inconsistency, RangeSource, ScriptedSource, resolve_verifier
 
 from instances import random_nary_closed_csp, random_open_engine
 
@@ -132,11 +132,11 @@ def recorded_calls(build):
     engine = build()
     calls = []
     for constraint in engine.fd_constraints():
-        def record(values, name=constraint.name, fn=constraint.verifier):
+        def record(values, name=constraint.name, fn=constraint.verify):
             calls.append((name, type(values).__name__, tuple(values)))
             return fn(values)
 
-        constraint.verifier = record
+        constraint.verify = record
     return run(engine), calls
 
 
@@ -154,11 +154,11 @@ def test_each_verifier_call_gets_a_fresh_list_in_argument_order(name):
     engine = BUILDERS[name]()
     received = []
     for constraint in engine.fd_constraints():
-        def keep(values, args=constraint.args, fn=constraint.verifier):
+        def keep(values, args=constraint.args, fn=constraint.verify):
             received.append((args, values))
             return fn(values)
 
-        constraint.verifier = keep
+        constraint.verify = keep
     run(engine)
     assert received
     # Every list is still alive here, so distinct ids mean none was reused.
@@ -171,29 +171,71 @@ def test_each_verifier_call_gets_a_fresh_list_in_argument_order(name):
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_a_verify_wrapper_installed_after_posting_sees_every_call(name):
+def test_a_verify_wrapper_installed_after_posting_sees_every_call(name, monkeypatch):
     """bench/tracing.py counts verifier calls by replacing each
-    constraint's verify on the instance once it is posted; that count must
-    equal the calls the verifier function itself receives."""
-    engine = BUILDERS[name]()
-    seen, received = {}, {}
-    for constraint in engine.fd_constraints():
-        cid, verify, verifier = constraint.id, constraint.verify, constraint.verifier
-        seen[cid] = received[cid] = 0
+    constraint's verify on the instance once it is posted. Every constraint
+    is posted here with a counting verifier, and a second counter replaces
+    verify after posting: the two must agree, so nothing may keep the
+    posted function at posting and call it past the replacement."""
+    received = []  # by constraint id: calls the posted verifier received
+    post = Engine.post_fd_constraint
 
-        def wrapped(values, cid=cid, verify=verify):
+    def post_counting(engine, cname, args, verifier=None):
+        fn = verifier if verifier is not None else resolve_verifier(cname)[2]
+        cid = len(received)
+        received.append(0)
+
+        def counting(values):
+            received[cid] += 1
+            return fn(values)
+
+        return post(engine, cname, args, counting)
+
+    monkeypatch.setattr(Engine, "post_fd_constraint", post_counting)
+    engine = BUILDERS[name]()
+    seen = [0] * len(received)
+    for constraint in engine.fd_constraints():
+        def wrapped(values, cid=constraint.id, verify=constraint.verify):
             seen[cid] += 1
             return verify(values)
 
-        def counted(values, cid=cid, verifier=verifier):
-            received[cid] += 1
-            return verifier(values)
-
         constraint.verify = wrapped
-        constraint.verifier = counted
     run(engine)
     assert seen == received
-    assert all(received.values())
+    assert all(received)
+
+
+def test_verify_is_the_function_posted():
+    eng = Engine()
+    v = eng.new_fd_variable(eng.new_iset([1]))
+
+    def mine(values):
+        return values[0] == values[1]
+
+    assert eng.fd_constraint(eng.post_fd_constraint("mine", [v, v], mine)).verify is mine
+    lt = resolve_verifier("lt")[2]
+    assert eng.fd_constraint(eng.post_fd_constraint("lt", [v, v])).verify is lt
+
+
+def test_a_verifier_that_is_not_callable_is_rejected_at_posting():
+    eng = Engine()
+    v = eng.new_fd_variable(eng.new_iset([1, 2], open=False))
+    w = eng.new_fd_variable(eng.new_iset([1], open=False))
+    with pytest.raises(ValueError):
+        eng.post_fd_constraint("mine", [v, w], 5)
+    assert eng.fd_constraints() == []
+    assert eng.variable(v).arcs == [] and eng.variable(w).arcs == []
+    assert eng.solve() is True and eng.present(v) == [1, 2]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_each_variable_holds_the_arcs_its_constraints_keep(name):
+    engine = BUILDERS[name]()
+    assert not hasattr(engine, "_arcs")
+    held = {(arc[0], var.id): arc for var in engine.variables for arc in var.arcs}
+    kept = {(c.id, vid): arc for c in engine.fd_constraints() for vid, arc in c.arcs.items()}
+    assert held.keys() == kept.keys()
+    assert all(held[key] is arc for key, arc in kept.items())
 
 
 @pytest.mark.parametrize("name", ["binary", "repeated_aab", "repeated_baa", "ternary"])
@@ -202,27 +244,14 @@ def test_a_verifier_that_clears_its_argument_changes_nothing(name):
         engine = BUILDERS[name]()
         if clearing:
             for constraint in engine.fd_constraints():
-                def clear_after(values, fn=constraint.verifier):
+                def clear_after(values, fn=constraint.verify):
                     ok = fn(values)
                     values.clear()
                     return ok
 
-                constraint.verifier = clear_after
+                constraint.verify = clear_after
         result = run(engine)
         return (result, engine.trace,
                 [(list(v.present), list(v.removed)) for v in engine.variables])
 
     assert outcome(clearing=True) == outcome(clearing=False)
-
-
-def test_verify_checks_the_arity_and_lists_any_other_sequence():
-    eng = Engine()
-    v = eng.new_fd_variable(eng.new_iset([1]))
-    seen = []
-    pair = eng.fd_constraint(
-        eng.post_fd_constraint("pair", [v, v], lambda t: seen.append(t) or True))
-    assert pair.verify((1, 2)) is True
-    assert seen == [[1, 2]] and type(seen[0]) is list
-    with pytest.raises(ValueError):
-        pair.verify([1])
-    assert len(seen) == 1
