@@ -32,7 +32,7 @@ from pathlib import Path
 from .acquisition import InteractiveSource, RangeSource, ScriptedSource
 from .engine import Engine
 from .errors import Inconsistency, SourceContractError
-from .fd import resolve_verifier
+from .fd import builtin_verifier
 from .isets import (
     Difference,
     Inclusion,
@@ -114,15 +114,13 @@ def parse(text: str) -> ProblemFile:
             problem.directives.append(("var", name, iset))
         elif head == "fdc":
             tokens = line.split()
-            if len(tokens) < 3:
+            if len(tokens) < 2:
                 _err(lineno, "expected: fdc <cname> <var>...")
             cname, args = tokens[1], tokens[2:]
             try:
-                lo, hi, _ = resolve_verifier(cname)
+                builtin_verifier(cname, len(args))
             except ValueError as exc:
                 _err(lineno, str(exc))
-            if len(args) < lo or (hi is not None and len(args) > hi):
-                _err(lineno, f"{cname} takes {lo}{'' if hi == lo else ' or more'} arguments")
             for v in args:
                 if v not in variables:
                     _err(lineno, f"undefined var {v!r}")

@@ -25,6 +25,7 @@ One engine instance is single-threaded; callers must serialize access.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from copy import copy
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -37,9 +38,9 @@ from .fd import (
     FdVariable,
     PairState,
     SupportGraph,
-    resolve_verifier,
+    builtin_verifier,
 )
-from .isets import Element, IsetConstraint, IsetStore, check_element, is_element
+from .isets import Element, Iset, IsetConstraint, IsetStore, is_element
 
 _SEARCH_ALLOWED = ALLOWED_TRANSITIONS | SEARCH_TRANSITIONS
 
@@ -64,32 +65,21 @@ class Engine:
         self.inconsistency: "Inconsistency | None" = None
 
     # ------------------------------------------------------------------
-    # iset facade
+    # sets: read and change them through self.isets
 
     def new_iset(self, elements: Iterable[Element] = (), *, open: bool = True,
                  name: "str | None" = None) -> int:
         return self.isets.new_iset(elements, open=open, name=name)
 
-    def ensure_member(self, iset: int, element: Element) -> bool:
-        return self.isets.ensure_member(iset, element)
-
-    def close(self, iset: int) -> bool:
-        return self.isets.close(iset)
-
-    def known(self, iset: int) -> set:
-        return self.isets.known(iset)
-
-    def is_closed(self, iset: int) -> bool:
-        return self.isets.is_closed(iset)
-
     def post_iset_constraint(self, constraint: IsetConstraint) -> None:
         """Post a set constraint. An Inconsistency its activation derives is
-        kept as the engine's final verdict (see solve) and re-raised."""
+        re-raised, and a copy of it without the traceback, whose frames
+        hold the engine, is kept as the engine's final verdict (see solve)."""
         try:
             self.isets.post(constraint)
         except Inconsistency as exc:
             if self.inconsistency is None:
-                self.inconsistency = exc
+                self.inconsistency = copy(exc)
             raise
 
     def propagate_isets(self) -> None:
@@ -105,12 +95,12 @@ class Engine:
 
     def new_fd_variable(self, def_domain: "int | None" = None, *,
                         name: "str | None" = None) -> int:
-        if def_domain is not None:
-            self.isets.name_of(def_domain)  # validates the id before appending
+        domain = self.isets._get(def_domain) if def_domain is not None else None
         vid = len(self.variables)
-        self.variables.append(FdVariable(vid, name or f"v{vid}"))
-        if def_domain is not None:
-            self.def_domain(vid, def_domain)
+        var = FdVariable(vid, name or f"v{vid}")
+        self.variables.append(var)
+        if domain is not None:
+            self._link(var, domain)
         return vid
 
     def variable(self, vid: int) -> FdVariable:
@@ -127,10 +117,13 @@ class Engine:
         var = self.variable(vid)
         if var.def_domain is not None:
             raise ValueError(f"{var.name} already has a definition domain")
-        var.domain = self.isets._get(iset)  # validates the id
-        var.def_domain = iset
-        self._links.setdefault(iset, []).append(vid)
-        for element in list(var.domain.known):
+        self._link(var, self.isets._get(iset))
+
+    def _link(self, var: FdVariable, domain: Iset) -> None:
+        var.domain = domain
+        var.def_domain = domain.id
+        self._links.setdefault(domain.id, []).append(var.id)
+        for element in list(domain.known):
             self._enqueue(var, element)
 
     def post_fd_constraint(self, name: str, args: Sequence[int],
@@ -153,9 +146,7 @@ class Engine:
         for vid in args:
             self.variable(vid)
         if verifier is None:
-            lo, hi, verifier = resolve_verifier(name)
-            if len(args) < lo or (hi is not None and len(args) > hi):
-                raise ValueError(f"{name} takes {lo}{'' if hi == lo else '+'} arguments")
+            verifier = builtin_verifier(name, len(args))
         elif not callable(verifier):
             raise ValueError(f"verifier for {name} is not callable: {verifier!r}")
         constraint = FdConstraint(len(self._fd_constraints), name, args, verifier)
@@ -170,16 +161,6 @@ class Engine:
     def fd_constraints(self) -> list:
         return list(self._fd_constraints)
 
-    def enqueue_candidate(self, vid: int, element: Element) -> None:
-        """Queue an element for checking; no-op unless the pair is unknown."""
-        var = self.variable(vid)
-        check_element(element)
-        if var.domain is None or element not in var.domain.known:
-            raise ValueError(
-                f"{element!r} is not in the definition domain of {var.name}"
-            )
-        self._enqueue(var, element)
-
     def _enqueue(self, var: FdVariable, element: Element) -> None:
         if var.state(element) is PairState.UNKNOWN:
             self._move(var, element, PairState.CANDIDATE)
@@ -188,9 +169,9 @@ class Engine:
     # acquisition
 
     def register_source(self, iset: int, source: AcquisitionSource) -> None:
-        self.isets.name_of(iset)
+        name = self.isets.name_of(iset)
         if iset in self._sources:
-            raise ValueError(f"{self.isets.name_of(iset)} already has a source")
+            raise ValueError(f"{name} already has a source")
         self._sources[iset] = source
 
     def acquire(self, iset: int, *, requesting_var: "int | None" = None,
@@ -202,10 +183,11 @@ class Engine:
         None if the reply is exhaustion (which closes the iset). An iset
         without a source is treated as immediately exhausted. A fresh reply
         that repeats an element the iset already knows is a contract
-        violation and raises SourceContractError rather than looping; so
-        does one that is neither None nor an element, before anything is
-        recorded or logged. A replayed element that the iset has come to know by another route
-        since search undid it is dropped, and the next reply taken.
+        violation and raises SourceContractError rather than looping, as
+        does one that is neither None nor an element; both raise before
+        anything is recorded or logged. A replayed element that the iset
+        has come to know by another route since search undid it is
+        dropped, and the next reply taken.
 
         In search the trail records that undoing the acquisition, or the
         drop, puts its reply back at the front of the replay queue, so a
@@ -235,6 +217,10 @@ class Engine:
                 raise SourceContractError(
                     f"source for {s.name} replied {element!r}, which is not an element"
                 )
+            if element in s.known:
+                raise SourceContractError(
+                    f"source for {s.name} repeated element {element!r}"
+                )
         isets.record(replay.appendleft, element)
         self.acquisitions.append((iset, requesting_var, element))
         self.trace.append(("ACQUIRE", s.name, element))
@@ -242,10 +228,6 @@ class Engine:
             isets._close(s)
             self.propagate_isets()
             return None
-        if element in s.known:
-            raise SourceContractError(
-                f"source for {s.name} repeated element {element!r}"
-            )
         isets._insert(s, element)
         self.propagate_isets()
         return element
@@ -259,14 +241,15 @@ class Engine:
         A contradiction is final. Outside search no element, closure or
         removal is ever taken back, so the first Inconsistency that solve()
         catches, or that post_iset_constraint raises, is kept in
-        self.inconsistency, and every later solve() returns False at once
-        without propagating. The sets and pairs stay as the contradiction
-        left them, and are no longer kept known-arc-consistent."""
+        self.inconsistency, without its traceback, whose frames hold the
+        engine, and every later solve() returns False at once without
+        propagating. The sets and pairs stay as the contradiction left
+        them, and are no longer kept known-arc-consistent."""
         if self.inconsistency is None:
             try:
                 self.kac_fixpoint()
             except Inconsistency as exc:
-                self.inconsistency = exc
+                self.inconsistency = exc.with_traceback(None)
         return self.inconsistency is None
 
     def kac_fixpoint(self) -> None:
@@ -558,12 +541,6 @@ class Engine:
 
     def removed(self, vid: int) -> list:
         return list(self.variable(vid).removed)
-
-    def candidates(self, vid: int) -> list:
-        return list(self.variable(vid).candidates)
-
-    def pair_state(self, vid: int, element: Element) -> PairState:
-        return self.variable(vid).state(element)
 
     # ------------------------------------------------------------------
     # search

@@ -201,11 +201,9 @@ class SupportGraph:
 def _comparison(op) -> Callable[[list], bool]:
     def check(values):
         a, b = values
-        if isinstance(a, int) and isinstance(b, int):
-            return op(a, b)
-        if isinstance(a, str) and isinstance(b, str):
-            return op(a, b)
-        return False  # ints and atoms are not ordered against each other
+        # Every element is an int or an atom str (see isets.is_element), and
+        # ints and atoms are not ordered against each other.
+        return type(a) is type(b) and op(a, b)
 
     return check
 
@@ -239,3 +237,13 @@ def resolve_verifier(name: str):
 
         return 1, None, check
     raise ValueError(f"unknown constraint name {name!r}")
+
+
+def builtin_verifier(name: str, nargs: int):
+    """The built-in verifier for a constraint name, for nargs arguments;
+    ValueError for an unknown name or a wrong arity. Posting and the
+    problem-file parser both check through it, with one message."""
+    lo, hi, verifier = resolve_verifier(name)
+    if nargs < lo or (hi is not None and nargs > hi):
+        raise ValueError(f"{name} takes {lo}{'' if hi == lo else ' or more'} arguments")
+    return verifier

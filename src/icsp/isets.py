@@ -417,9 +417,6 @@ class IsetStore:
     def known_in_order(self, iset: int) -> list:
         return list(self._get(iset).known)
 
-    def contains(self, iset: int, element: Element) -> bool:
-        return element in self._get(iset).known
-
     def is_closed(self, iset: int) -> bool:
         return not self._get(iset).open
 

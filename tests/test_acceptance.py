@@ -52,7 +52,8 @@ def test_criterion_1_golden_walkthrough():
     assert eng.present(x) == [1] and eng.removed(x) == [2]
     assert eng.present(y) == [2] and eng.removed(y) == []
     assert eng.present(z) == [2] and eng.removed(z) == []
-    assert eng.is_closed(dz) and not eng.is_closed(dx) and not eng.is_closed(dy)
+    assert eng.isets.is_closed(dz)
+    assert not eng.isets.is_closed(dx) and not eng.isets.is_closed(dy)
     per_iset = [iset for iset, _var, _elem in eng.acquisitions]
     assert per_iset == [dx, dz, dz], "expected 1 acquisition for dx and 2 for dz"
     assert eng.acquisitions[-1][2] is None  # the second dz call was the exhausted reply

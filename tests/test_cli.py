@@ -118,6 +118,24 @@ def test_parse_arity_and_unknown_cname():
         parse("iset d open {}\nvar v :: d\nfdc lt v\n")
 
 
+@pytest.mark.parametrize("cname, nargs, message", [
+    ("lt", 3, "lt takes 2 arguments"),
+    ("sum_eq_const:5", 0, "sum_eq_const:5 takes 1 or more arguments"),
+])
+def test_posting_and_parsing_reject_a_bad_arity_with_one_message(cname, nargs, message):
+    eng = icsp.Engine()
+    d = eng.new_iset([1])
+    with pytest.raises(ValueError) as posted:
+        eng.post_fd_constraint(cname, [eng.new_fd_variable(d) for _ in range(nargs)])
+    names = [f"v{i}" for i in range(nargs)]
+    text = ("iset d open {1}\n" + "".join(f"var {n} :: d\n" for n in names)
+            + f"fdc {cname} {' '.join(names)}\n")
+    with pytest.raises(ProblemError) as parsed:
+        parse(text)
+    assert str(posted.value) == message
+    assert str(parsed.value) == f"line {nargs + 2}: {message}"
+
+
 def test_parse_sources_and_option():
     problem = parse(
         "iset a open {}\niset b open {}\niset c open {}\n"

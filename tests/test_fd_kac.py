@@ -2,10 +2,13 @@
 handling, support seek priority, the reliance graph, cascaded removal, and
 the full lazy-acquisition walkthrough."""
 
+import gc
+import operator
+
 import pytest
 
-from icsp import (Engine, Inclusion, Inconsistency, Intersection, PairState,
-                  ScriptedSource)
+from icsp import (Engine, Inclusion, Inconsistency, Intersection, IsetStore, PairState,
+                  ScriptedSource, resolve_verifier)
 
 from instances import audit_transitions, engine_kac_holds
 from icsp.oracle import ClosedCsp, ac3
@@ -35,15 +38,16 @@ def test_new_variable_over_empty_domain():
     eng = Engine()
     d = eng.new_iset()
     v = eng.new_fd_variable(d)
-    assert eng.present(v) == [] and eng.removed(v) == [] and eng.candidates(v) == []
+    assert eng.present(v) == [] and eng.removed(v) == []
+    assert list(eng.variable(v).candidates) == []
 
 
 def test_new_variable_candidates_existing_elements():
     eng = Engine()
     d = eng.new_iset([1, 2])
     v = eng.new_fd_variable(d)
-    assert eng.candidates(v) == [1, 2]
-    assert eng.pair_state(v, 1) is PairState.CANDIDATE
+    assert list(eng.variable(v).candidates) == [1, 2]
+    assert eng.variable(v).state(1) is PairState.CANDIDATE
 
 
 def test_shared_domain_independent_queues():
@@ -51,25 +55,10 @@ def test_shared_domain_independent_queues():
     d = eng.new_iset([1])
     v1 = eng.new_fd_variable(d)
     v2 = eng.new_fd_variable(d)
-    assert eng.candidates(v1) == [1] and eng.candidates(v2) == [1]
+    assert list(eng.variable(v1).candidates) == [1]
+    assert list(eng.variable(v2).candidates) == [1]
     eng.variable(v1).candidates.popleft()
-    assert eng.candidates(v2) == [1]
-
-
-def test_enqueue_candidate_idempotent():
-    eng = Engine()
-    d = eng.new_iset([1])
-    v = eng.new_fd_variable(d)
-    eng.enqueue_candidate(v, 1)
-    assert eng.candidates(v) == [1]
-
-
-def test_enqueue_candidate_requires_domain_membership():
-    eng = Engine()
-    d = eng.new_iset([1])
-    v = eng.new_fd_variable(d)
-    with pytest.raises(ValueError):
-        eng.enqueue_candidate(v, 9)
+    assert list(eng.variable(v2).candidates) == [1]
 
 
 def test_verify_builtins():
@@ -83,6 +72,37 @@ def test_verify_builtins():
     assert gt.verify([2, 1]) is True
     with pytest.raises(ValueError):
         lt.verify([1])
+
+
+MIXED_POOL = [-3, 0, 5, "a", "zz", "e1"]
+
+
+@pytest.mark.parametrize("name, op", [("lt", operator.lt), ("le", operator.le),
+                                      ("gt", operator.gt), ("ge", operator.ge)])
+def test_builtin_comparisons_order_ints_and_atoms_apart(name, op):
+    # Numeric order for two ints, string order for two atoms, and no order
+    # at all between an int and an atom, in either argument order.
+    _, _, verify = resolve_verifier(name)
+    for a in MIXED_POOL:
+        for b in MIXED_POOL:
+            if isinstance(a, int) and isinstance(b, int):
+                expected = op(a, b)
+            elif isinstance(a, str) and isinstance(b, str):
+                expected = op(a, b)
+            else:
+                expected = False
+            assert verify([a, b]) is expected, (name, a, b)
+
+
+@pytest.mark.parametrize("owner, name", [
+    *((Engine, name) for name in ("ensure_member", "close", "known", "is_closed",
+                                  "enqueue_candidate", "pair_state", "candidates")),
+    (IsetStore, "contains"),
+])
+def test_set_state_and_pairs_have_one_public_route(owner, name):
+    # Sets are read and changed through engine.isets, pairs through
+    # engine.variable(v), and candidates come only from set propagation.
+    assert not hasattr(owner, name)
 
 
 def test_builtin_arity_checked_at_post():
@@ -138,8 +158,8 @@ def test_golden_walkthrough():
     assert eng.present(x) == [1] and eng.removed(x) == [2]
     assert eng.present(y) == [2] and eng.removed(y) == []
     assert eng.present(z) == [2] and eng.removed(z) == []
-    assert eng.is_closed(dz)
-    assert not eng.is_closed(dx) and not eng.is_closed(dy)
+    assert eng.isets.is_closed(dz)
+    assert not eng.isets.is_closed(dx) and not eng.isets.is_closed(dy)
     # one acquisition for dx, two for dz (the second being the exhausted reply)
     per_iset = [iset for iset, _var, _elem in eng.acquisitions]
     assert per_iset == [dx, dz, dz]
@@ -228,8 +248,8 @@ def test_flush_clears_graph_and_promotes():
     eng.solve()
     assert eng.graph.nodes == {}
     assert eng.graph._supporters == {} and eng.graph._dependents == {}
-    assert eng.pair_state(x, 1) is PairState.PRESENT
-    assert eng.pair_state(z, 2) is PairState.PRESENT
+    assert eng.variable(x).state(1) is PairState.PRESENT
+    assert eng.variable(z).state(2) is PairState.PRESENT
 
 
 def test_removal_cascade_chain():
@@ -276,7 +296,7 @@ def test_cascade_reseek_finds_all_present_tuple():
     b = eng.new_fd_variable(db, name="b")
     eng.post_fd_constraint("k", [b, c, d], lambda t: tuple(t) in truths)
     eng.post_fd_constraint("dok", [d], lambda t: t[0] != 4)
-    eng.ensure_member(dd, 4)
+    eng.isets.ensure_member(dd, 4)
     assert eng.solve() is True
     assert eng.present(b) == [2]
     assert eng.removed(d) == [4] and eng.present(d) == [40]
@@ -324,7 +344,7 @@ def test_pair_stranded_by_a_raising_verifier_is_checked_by_the_next_solve():
     eng.post_fd_constraint("lt", [x, y], flaky_lt)
     with pytest.raises(TypeError):
         eng.solve()
-    assert eng.pair_state(x, 3) is PairState.OBSERVED
+    assert eng.variable(x).state(3) is PairState.OBSERVED
     assert eng.solve() is True
     assert engine_kac_holds(eng)
     assert eng.present(x) == [1, 2] and eng.removed(x) == [3]
@@ -353,7 +373,7 @@ def test_a_contradiction_found_by_solve_is_final():
     assert eng.label([x, y]) is None
     assert eng.inconsistency is kept
     assert (eng.trace, eng.transitions, eng.acquisitions) == logs
-    assert eng.known(da) == {7} and eng.present(x) == []
+    assert eng.isets.known(da) == {7} and eng.present(x) == []
 
 
 def test_a_contradiction_raised_at_posting_is_final():
@@ -362,10 +382,45 @@ def test_a_contradiction_raised_at_posting_is_final():
     b = eng.new_iset([1], open=False, name="b")
     with pytest.raises(Inconsistency) as raised:
         eng.post_iset_constraint(Inclusion(a, b))
-    assert eng.inconsistency is raised.value
+    # The caller gets the exception with its traceback; the engine keeps a
+    # copy without it.
+    kept = eng.inconsistency
+    assert type(kept) is Inconsistency and kept.args == raised.value.args
+    assert kept.__traceback__ is None and raised.value.__traceback__ is not None
     x = eng.new_fd_variable(a, name="x")
     assert eng.solve() is False
     assert eng.label([x]) is None
     with pytest.raises(Inconsistency):
         eng.post_iset_constraint(Inclusion(a, b))
-    assert eng.inconsistency is raised.value  # the first one is kept
+    assert eng.inconsistency is kept  # the first one is kept
+
+
+def inconsistent_by_solve():
+    eng = Engine()
+    d = eng.new_iset([1], open=False)
+    x, y = eng.new_fd_variable(d), eng.new_fd_variable(d)
+    eng.post_fd_constraint("lt", [x, y])
+    assert eng.solve() is False
+    return eng
+
+
+def inconsistent_at_posting():
+    eng = Engine()
+    a = eng.new_iset([1, 2], open=False)
+    b = eng.new_iset([1], open=False)
+    try:
+        eng.post_iset_constraint(Inclusion(a, b))
+    except Inconsistency:
+        pass
+    return eng
+
+
+@pytest.mark.parametrize("make", [inconsistent_by_solve, inconsistent_at_posting])
+def test_an_inconsistent_engine_is_freed_without_the_cycle_collector(make):
+    # The kept Inconsistency holds no traceback, whose frames would hold
+    # the engine and make it a reference cycle.
+    gc.collect()
+    eng = make()
+    assert eng.inconsistency is not None
+    del eng
+    assert gc.collect() == 0

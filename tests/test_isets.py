@@ -152,8 +152,7 @@ class Replies(AcquisitionSource):
 # source that replies bad, variable 0 over s.
 ELEMENT_ROUTES = {
     "new_iset": (ValueError, lambda eng, bad: eng.new_iset([2, bad])),
-    "ensure_member": (ValueError, lambda eng, bad: eng.ensure_member(0, bad)),
-    "enqueue_candidate": (ValueError, lambda eng, bad: eng.enqueue_candidate(0, bad)),
+    "ensure_member": (ValueError, lambda eng, bad: eng.isets.ensure_member(0, bad)),
     "Member": (ValueError, lambda eng, bad: eng.post_iset_constraint(Member(bad, 0))),
     "source reply": (SourceContractError, lambda eng, bad: eng.acquire(1)),
 }
@@ -574,7 +573,6 @@ BOUNDARY_CALLS = {
     "name_of": lambda eng, bad: eng.isets.name_of(bad),
     "known": lambda eng, bad: eng.isets.known(bad),
     "known_in_order": lambda eng, bad: eng.isets.known_in_order(bad),
-    "contains": lambda eng, bad: eng.isets.contains(bad, 1),
     "is_closed": lambda eng, bad: eng.isets.is_closed(bad),
     "ensure_member": lambda eng, bad: eng.isets.ensure_member(bad, 9),
     "close": lambda eng, bad: eng.isets.close(bad),

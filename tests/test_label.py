@@ -223,9 +223,9 @@ def test_label_interrupted_by_a_raising_verifier_restores_its_entry_state():
     assert {v: eng.present(v) for v in (x, y)} == before
     assert engine_kac_holds(eng)
     assert pair_place_errors(eng) == []
-    eng.ensure_member(dx, 7)
+    eng.isets.ensure_member(dx, 7)
     assert eng.solve() is True
-    assert eng.pair_state(x, 7) is PairState.PRESENT
+    assert eng.variable(x).state(7) is PairState.PRESENT
     assert engine_kac_holds(eng)
     assert pair_place_errors(eng) == []
 
@@ -281,20 +281,20 @@ def test_label_reads_each_typed_reply_once():
     eng, prompts, dx, x = typed_replies()
     assert [e for _iset, _var, e in eng.acquisitions] == [5, 6, 7, None]
     assert prompts.getvalue().count("acquire dx") == 4  # once per reply
-    assert eng.known(dx) == {1} and not eng.is_closed(dx)
+    assert eng.isets.known(dx) == {1} and not eng.isets.is_closed(dx)
     assert eng.acquire(dx, requesting_var=x) == 5
     assert prompts.getvalue().count("acquire dx") == 4
-    assert eng.known(dx) == {1, 5}
+    assert eng.isets.known(dx) == {1, 5}
 
 
 def test_a_replayed_reply_known_by_another_route_is_dropped():
     # 5 waits for replay when it enters dx by another route. The replay
     # drops it instead of blaming the source for a repeat, and replays 6.
     eng, prompts, dx, x = typed_replies()
-    eng.ensure_member(dx, 5)
+    eng.isets.ensure_member(dx, 5)
     assert eng.acquire(dx, requesting_var=x) == 6
     assert prompts.getvalue().count("acquire dx") == 4
-    assert eng.known(dx) == {1, 5, 6}
+    assert eng.isets.known(dx) == {1, 5, 6}
     assert [e for _iset, _var, e in eng.acquisitions][4:] == [6]
 
 
@@ -308,7 +308,7 @@ def test_a_value_bound_by_label_discards_later_arrivals():
     y = eng.new_fd_variable(dy, name="y")
     eng.post_fd_constraint("ne", [x, y])
     assert eng.label() == {x: 1, y: 2}
-    eng.ensure_member(dx, 7)
+    eng.isets.ensure_member(dx, 7)
     assert eng.solve() is True
     assert eng.present(x) == [1] and eng.removed(x) == [2, 7]
     assert eng.transitions[-1] == (x, 7, PairState.CANDIDATE, PairState.REMOVED, "search")

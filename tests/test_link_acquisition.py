@@ -25,7 +25,7 @@ def test_link_with_empty_domain_has_no_candidates():
     d = eng.new_iset()
     v = eng.new_fd_variable()
     eng.def_domain(v, d)
-    assert eng.candidates(v) == []
+    assert list(eng.variable(v).candidates) == []
 
 
 def test_link_replays_known_elements():
@@ -33,7 +33,7 @@ def test_link_replays_known_elements():
     d = eng.new_iset([1, 2])
     v = eng.new_fd_variable()
     eng.def_domain(v, d)
-    assert eng.candidates(v) == [1, 2]
+    assert list(eng.variable(v).candidates) == [1, 2]
 
 
 def test_two_variables_one_domain_candidate_independently():
@@ -41,15 +41,16 @@ def test_two_variables_one_domain_candidate_independently():
     d = eng.new_iset()
     v1 = eng.new_fd_variable(d, name="v1")
     v2 = eng.new_fd_variable(d, name="v2")
-    eng.ensure_member(d, 3)
+    eng.isets.ensure_member(d, 3)
     eng.propagate_isets()
-    assert eng.candidates(v1) == [3] and eng.candidates(v2) == [3]
+    assert list(eng.variable(v1).candidates) == [3]
+    assert list(eng.variable(v2).candidates) == [3]
 
 
 def test_insertion_into_unlinked_iset_is_quiet():
     eng = Engine()
     d = eng.new_iset()
-    eng.ensure_member(d, 3)
+    eng.isets.ensure_member(d, 3)
     eng.propagate_isets()
     assert [t for t in eng.trace if t[0] == "CANDIDATE"] == []
 
@@ -61,10 +62,10 @@ def test_inclusion_cascade_reaches_both_variables():
     va = eng.new_fd_variable(a, name="va")
     vb = eng.new_fd_variable(b, name="vb")
     eng.post_iset_constraint(Inclusion(a, b))
-    eng.ensure_member(a, 9)
+    eng.isets.ensure_member(a, 9)
     eng.propagate_isets()
-    assert eng.candidates(va) == [9]
-    assert eng.candidates(vb) == [9]
+    assert list(eng.variable(va).candidates) == [9]
+    assert list(eng.variable(vb).candidates) == [9]
 
 
 def test_candidates_injected_only_after_set_quiescence():
@@ -88,6 +89,17 @@ def test_candidates_injected_only_after_set_quiescence():
     assert max(i for i, t in enumerate(tags) if t == "INSERT") < first_candidate
 
 
+def test_an_insertion_reaches_the_variables_after_its_set_consequences():
+    eng = Engine()
+    c = eng.new_iset(name="c")
+    h = eng.new_iset(name="h")
+    eng.post_iset_constraint(Inclusion(c, h))
+    eng.new_fd_variable(c, name="v")
+    eng.isets.ensure_member(c, 5)
+    eng.propagate_isets()
+    assert eng.trace == [("INSERT", "c", 5), ("INSERT", "h", 5), ("CANDIDATE", "v", 5)]
+
+
 def test_every_present_and_removed_element_is_in_the_definition_domain():
     eng = Engine()
     dx = eng.new_iset(name="dx")
@@ -100,7 +112,7 @@ def test_every_present_and_removed_element_is_in_the_definition_domain():
     assert eng.solve() is True
     for var, dom in ((x, dx), (z, dz)):
         for e in eng.present(var) + eng.removed(var):
-            assert e in eng.known(dom)
+            assert e in eng.isets.known(dom)
 
 
 # ----------------------------------------------------------------------
@@ -113,14 +125,14 @@ def test_scripted_source_then_exhaustion_closes():
     assert eng.acquire(d) == 2
     assert eng.acquire(d) == 5
     assert eng.acquire(d) is None
-    assert eng.is_closed(d)
+    assert eng.isets.is_closed(d)
 
 
 def test_acquire_without_source_closes():
     eng = Engine()
     d = eng.new_iset(name="d")
     assert eng.acquire(d) is None
-    assert eng.is_closed(d)
+    assert eng.isets.is_closed(d)
 
 
 def test_acquire_on_closed_set_is_a_usage_error():
@@ -151,7 +163,7 @@ def test_range_source_counts_then_closes():
     eng.register_source(d, RangeSource(1, 3))
     got = [eng.acquire(d) for _ in range(4)]
     assert got == [1, 2, 3, None]
-    assert eng.is_closed(d)
+    assert eng.isets.is_closed(d)
 
 
 def test_rebinding_source_rejected():
@@ -169,6 +181,17 @@ def test_source_repeating_element_is_diagnosed_not_looped():
     assert eng.acquire(d) == 2
     with pytest.raises(SourceContractError):
         eng.acquire(d)
+
+
+def test_a_repeated_reply_raises_before_anything_is_logged():
+    eng = Engine()
+    s = eng.new_iset([1], name="s")
+    eng.register_source(s, ScriptedSource([1]))
+    logs = (list(eng.trace), list(eng.acquisitions), list(eng.isets.queue))
+    with pytest.raises(SourceContractError, match="repeated element 1"):
+        eng.acquire(s)
+    assert (eng.trace, eng.acquisitions, list(eng.isets.queue)) == logs
+    assert eng.isets.known_in_order(s) == [1]
 
 
 def test_repeat_violation_is_not_swallowed_by_solve():

@@ -87,7 +87,7 @@ def shared_iset(seed):
     engine = Engine()
     dz = engine.new_iset(rng.sample(range(1, 9), 3), open=False, name="dz")
     dshared = engine.new_iset([rng.randint(1, 8)], name="ds")
-    values = [v for v in range(1, 13) if v not in engine.known(dshared)]
+    values = [v for v in range(1, 13) if v not in engine.isets.known(dshared)]
     rng.shuffle(values)
     engine.register_source(dshared, ScriptedSource(values))
     z = engine.new_fd_variable(dz, name="z")

@@ -51,7 +51,7 @@ def test_element_lists_partition_and_stay_in_domain():
             present, removed = set(var.present), set(var.removed)
             assert not present & removed
             assert not var.candidates
-            known = engine.known(var.def_domain)
+            known = engine.isets.known(var.def_domain)
             assert present | removed <= known
 
 
@@ -138,7 +138,7 @@ def test_pair_states_match_their_places_after_open_solve():
             consistent += 1
             for vid in var_ids:
                 var = engine.variable(vid)
-                assert set(var.states) == engine.known(var.def_domain)
+                assert set(var.states) == engine.isets.known(var.def_domain)
         assert pair_place_errors(engine) == []
     assert consistent > 10
 

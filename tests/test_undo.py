@@ -132,9 +132,9 @@ def test_restores_undo_union_pending_edits_made_in_search():
     assert audit.undone["pending"] > 0
     assert [e for iset, _var, e in engine.acquisitions if iset == c] == [5, 6, None]
     assert union.pending == [1]
-    assert engine.known(a) == {3} and engine.known(b) == set()
-    assert engine.known(c) == {1, 3}
-    assert not (engine.is_closed(a) or engine.is_closed(c))
+    assert engine.isets.known(a) == {3} and engine.isets.known(b) == set()
+    assert engine.isets.known(c) == {1, 3}
+    assert not (engine.isets.is_closed(a) or engine.isets.is_closed(c))
 
 
 def test_an_exhausted_label_restores_its_entry_state():
@@ -148,7 +148,7 @@ def test_an_exhausted_label_restores_its_entry_state():
     result, audit = label_audited(engine, var_ids)
     assert result is None
     assert engine_state(engine) == before
-    assert engine.known(0) == {1, 2, 4, 5} and not engine.is_closed(0)
+    assert engine.isets.known(0) == {1, 2, 4, 5} and not engine.isets.is_closed(0)
     assert list(engine._replays[0]) == [3, None]
     calls = [s.calls_served() for s in engine._sources.values()]
     assert label_audited(engine, var_ids)[0] is None

@@ -1,0 +1,71 @@
+"""Count the code lines of Python sources: lines that hold code, leaving out
+docstrings, comments and blank lines.
+
+    python3 tools/code_lines.py            # src/icsp
+    python3 tools/code_lines.py tests
+
+Prints one line per file, `<count> <path>`, in path order, then the total.
+A line counts when it holds at least one token of the program other than a
+comment or a docstring, so every physical line of a multi-line expression
+counts, and so does every line that a multi-line string spans, unless that
+string is a docstring. A docstring is a string literal that forms a whole
+statement at the start of a module, class or function body. Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _docstring_lines(tree: ast.AST) -> set:
+    """The line numbers that docstrings span."""
+    lines = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+            continue
+        first = node.body[0] if node.body else None
+        if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)):
+            lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in one module's source text."""
+    docstrings = _docstring_lines(ast.parse(source))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type in _NOT_CODE or token.start[0] in docstrings:
+            continue
+        lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("directory", nargs="?", default=str(ROOT / "src" / "icsp"),
+                        help="directory searched for *.py files (default: src/icsp)")
+    args = parser.parse_args(argv)
+    directory = Path(args.directory)
+    total = 0
+    for path in sorted(directory.rglob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:6d} {path.relative_to(directory)}")
+    print(f"{total:6d} total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
