@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from copy import copy
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterable, Sequence
 
 from .acquisition import AcquisitionContext, AcquisitionSource
@@ -43,6 +43,22 @@ from .fd import (
 from .isets import Element, Iset, IsetConstraint, IsetStore, is_element
 
 _SEARCH_ALLOWED = ALLOWED_TRANSITIONS | SEARCH_TRANSITIONS
+
+
+def _first_support(verify, element: Element, k: int, pool: Iterable) -> "Element | None":
+    """The first x of pool that supports element on a binary arc over two
+    distinct variables: verify([element, x]) holds when k is 0,
+    verify([x, element]) when k is 1. None if there is none (no element
+    is None). The pool is read as it is, in place."""
+    if k:
+        for x in pool:
+            if verify([x, element]):
+                return x
+    else:
+        for x in pool:
+            if verify([element, x]):
+                return x
+    return None
 
 
 class Engine:
@@ -156,6 +172,8 @@ class Engine:
         return constraint.id
 
     def fd_constraint(self, cid: int) -> FdConstraint:
+        if type(cid) is not int or not 0 <= cid < len(self._fd_constraints):
+            raise ValueError(f"unknown constraint id {cid!r}")
         return self._fd_constraints[cid]
 
     def fd_constraints(self) -> list:
@@ -384,8 +402,33 @@ class Engine:
         pass verifies only tuples holding a newly appended element (after
         an exhausted reply, none). Its first success is the tuple a full
         re-enumeration would reach first.
+
+        A binary arc over two distinct variables scans its other variable's
+        present, observed and candidate lists in place, one after the
+        other, and after an acquisition the candidates appended since it
+        began. Any other arc enumerates copied pools through _find_tuple.
         """
-        cid, _, others, _, _, _ = arc
+        cid, _, others, _, k, spread = arc
+        constraint = self._fd_constraints[cid]
+        if spread is None and len(others) == 1:
+            wvar = self.variables[others[0]]
+            bound = wvar.bound_to is not None  # supports only with its present value
+            pools = ((wvar.present,) if bound else
+                     (wvar.present, self.graph.observed_elements(wvar.id), wvar.candidates))
+            for pool in pools:
+                x = _first_support(constraint.verify, element, k, pool)
+                if x is not None:
+                    return (x,)
+            while self._open(wvar):
+                start = len(wvar.candidates)
+                self.acquire(wvar.def_domain, requesting_var=wvar.id,
+                             requesting_constraint=constraint.name)
+                if not bound:
+                    x = _first_support(constraint.verify, element, k,
+                                       islice(wvar.candidates, start, None))
+                    if x is not None:
+                        return (x,)
+            return None
         pools = self._pools(others, present_only=False)
         fresh = None
         while True:
@@ -399,7 +442,7 @@ class Engine:
             else:
                 return None
             self.acquire(target.def_domain, requesting_var=target.id,
-                         requesting_constraint=self._fd_constraints[cid].name)
+                         requesting_constraint=constraint.name)
             grown = self._pools(others, present_only=False)
             fresh = {x for pool, longer in zip(pools, grown) for x in longer[len(pool):]}
             pools = grown
@@ -422,33 +465,22 @@ class Engine:
                     fresh: "set | None" = None) -> "tuple | None":
         """First satisfying assignment of the arc's others in lexicographic
         order over their pools, the element fixed at every occurrence of
-        the arc's variable. Returns the elements ordered as the others, or
-        None. With fresh given, only tuples holding at least one of its
-        elements are verified.
+        the arc's variable, for an arc with a repeated argument or with two
+        or more other variables (binary arcs over two distinct variables go
+        through _first_support). Returns the elements ordered as the
+        others, or None. With fresh given, only tuples holding at least one
+        of its elements are verified.
 
         Each ground list is built once, in argument order, for the one
-        verify call it goes to. A binary arc without repeated arguments
-        loops over its single pool and tests [element, x] or [x, element];
-        any other arc inserts the element at its position k among the
-        others and, when an argument repeats, spreads the distinct values
-        over the arguments. The constraint's verify is read at the start of
-        every call and called directly, so a function put in its place
-        after posting receives every test."""
+        verify call it goes to: the element is inserted at its position k
+        among the others and, when an argument repeats, the distinct values
+        are spread over the arguments. The constraint's verify is read at
+        the start of every call and called directly, so a function put in
+        its place after posting receives every test."""
         if fresh is not None and not fresh:
             return None
         cid, _, _, _, k, spread = arc
         verify = self._fd_constraints[cid].verify
-        if spread is None and len(pools) == 1:
-            pool = pools[0] if fresh is None else [x for x in pools[0] if x in fresh]
-            if k:
-                for x in pool:
-                    if verify([x, element]):
-                        return (x,)
-            else:
-                for x in pool:
-                    if verify([element, x]):
-                        return (x,)
-            return None
         for support in product(*pools):
             if fresh is not None and fresh.isdisjoint(support):
                 continue
@@ -646,6 +678,12 @@ class Engine:
         undo when search backtracks; a stale one fails the present test and
         the search runs as before.
 
+        A binary arc over two distinct variables tests its residue, the one
+        supporting element of the popped variable, against that variable's
+        states, and on a miss scans its present list in place: w's removals
+        leave it unchanged. Any other arc tests each value of its residue
+        tuple, and searches pools of present values built once per arc.
+
         A later pop of v in the same call skips v's binary arcs, those
         whose others is just (v,) (repeated arguments such as [a, a, b]
         included), when v has lost no value since its previous pop. That
@@ -661,28 +699,36 @@ class Engine:
         seen: dict = {}  # var id -> len(removed) at its previous pop
         while work:
             vid = work.popleft()
-            lost = len(variables[vid].removed)
+            vvar = variables[vid]
+            lost = len(vvar.removed)
             unchanged = seen.get(vid) == lost
             seen[vid] = lost
-            for cid, _, _, _, _, _ in variables[vid].arcs:
+            vstates, vpresent = vvar.states, vvar.present
+            for cid, _, _, _, _, _ in vvar.arcs:
+                verify = constraints[cid].verify
                 for arc in constraints[cid].arcs.values():
-                    _, w, others, residues, _, _ = arc
+                    _, w, others, residues, k, spread = arc
                     if w == vid or (unchanged and len(others) == 1):
                         continue
                     wvar = variables[w]
-                    states = [variables[u].states for u in others]
-                    pools = None  # built once: removing w's values leaves them valid
+                    binary = spread is None and len(others) == 1
+                    if not binary:
+                        states = [variables[u].states for u in others]
+                        pools = None  # built once: removing w's values leaves them valid
                     for e in list(wvar.present):
                         residue = residues.get(e)
-                        if residue is not None:
-                            for state, x in zip(states, residue):
-                                if state.get(x) is not present:
-                                    break
-                            else:
-                                continue  # every value of the residue is present
-                        if pools is None:
-                            pools = self._pools(others, present_only=True)
-                        support = self._find_tuple(e, arc, pools)
+                        if binary:
+                            if residue is not None and vstates.get(residue) is present:
+                                continue
+                            support = _first_support(verify, e, k, vpresent)
+                        else:
+                            if residue is not None and all(
+                                    state.get(x) is present
+                                    for state, x in zip(states, residue)):
+                                continue
+                            if pools is None:
+                                pools = self._pools(others, present_only=True)
+                            support = self._find_tuple(e, arc, pools)
                         if support is None:
                             self._move(wvar, e, PairState.REMOVED)
                             work.append(w)

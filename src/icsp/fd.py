@@ -98,12 +98,15 @@ class FdConstraint:
     other distinct argument variables, the ones a support for a value of w
     must assign, in the order of every support tuple. residues maps a value
     of w to the all-present support that search's revise found for it
-    last: a hint, sound to reuse while every value in it is still present,
-    so it needs no undo when search backtracks. k is w's position among the
-    distinct arguments, where a value of w is inserted into a support, and
-    spread maps each argument to its position among the distinct
-    arguments, None when no argument repeats: together they lay out a
-    ground tuple without searching the arguments (see Engine._find_tuple).
+    last: the supporting element itself on an arc over two distinct
+    variables, the support tuple on any other. It is a hint, sound to reuse
+    while every value in it is still present, so it needs no undo when
+    search backtracks. k is w's position among the distinct arguments,
+    where a value of w is inserted into a support, and spread maps each
+    argument to its position among the distinct arguments, None when no
+    argument repeats: together they lay out a ground tuple without
+    searching the arguments (see engine._first_support and
+    Engine._find_tuple).
     Arcs are plain tuples because posting builds one per argument, and a
     class instance costs several times as much to create.
     """
@@ -155,7 +158,9 @@ class SupportGraph:
             self._observed.setdefault(vid, []).append(element)
 
     def observed_elements(self, vid: int) -> list:
-        return list(self._observed.get(vid, ()))
+        """The variable's observed elements, in the order they were
+        observed: the graph's own list, for reading only."""
+        return self._observed.get(vid, [])
 
     def set_supporters(self, supported, cid: int, supporters) -> None:
         """Record that `supported` relies on exactly `supporters` for cid,

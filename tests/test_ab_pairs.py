@@ -50,3 +50,41 @@ def test_higher_is_better_turns_the_comparison_round():
     down = ab_pairs.summarise(PARENT, [p + 5 for p in PARENT], "lower")
     assert (up["wins"], up["gain_holds"]) == (10, True)
     assert (down["wins"], down["gain_holds"]) == (0, False)
+
+
+def test_fewer_than_the_minimum_pairs_judge_no_gain():
+    row = ab_pairs.summarise(PARENT[:9], [p - 5 for p in PARENT[:9]], "lower")
+    assert row["wins"] == 9 and row["pairs"] == 9
+    assert row["gain_holds"] is None
+
+
+def _no_run(*args):
+    raise AssertionError("a benchmark run was started")
+
+
+REPO = _PATH.parent.parent
+
+
+@pytest.mark.parametrize("workload", ["all", "no_such_workload"])
+def test_only_a_declared_workload_is_accepted_and_nothing_runs(monkeypatch, capsys, workload):
+    monkeypatch.setattr(ab_pairs, "run_once", _no_run)
+    with pytest.raises(SystemExit) as exit_:
+        ab_pairs.main(["--parent", str(REPO), "--change", str(REPO),
+                       "--workload", workload, "--seed", "1"])
+    assert exit_.value.code == 2
+    assert "--workload must be one of lazy_chain, closed_search, set_network" in (
+        capsys.readouterr().err)
+
+
+def test_the_report_says_too_few_pairs_below_the_minimum(monkeypatch, capsys):
+    times = iter([9.0, 5.0, 4.0, 8.0, 9.0, 5.0])  # the change wins every pair by far
+
+    def fake_run(checkout, workload, seed, seconds):
+        return {"failed": 0, "metrics": {"verdict_s_p50": {"value": next(times)}}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    ab_pairs.main(["--parent", str(REPO), "--change", str(REPO),
+                   "--workload", "closed_search", "--seed", "1", "--pairs", "3"])
+    row = capsys.readouterr().out.splitlines()[-1]
+    assert row.split()[0] == "verdict_s_p50"
+    assert row.endswith(" 3/3  too few pairs")

@@ -126,6 +126,16 @@ def test_unknown_variable_id_is_a_usage_error(vid):
     assert eng.fd_constraints() == []
 
 
+@pytest.mark.parametrize("cid", [-1, 2, 5, "0", 0.0, True, False])
+def test_unknown_constraint_id_is_a_usage_error(cid):
+    eng = Engine()
+    v, w = (eng.new_fd_variable(eng.new_iset([1])) for _ in range(2))
+    first, second = eng.post_fd_constraint("lt", [v, w]), eng.post_fd_constraint("ne", [v, w])
+    with pytest.raises(ValueError, match="unknown constraint id"):
+        eng.fd_constraint(cid)
+    assert [eng.fd_constraint(c).name for c in (first, second)] == ["lt", "ne"]
+
+
 def test_duplicate_def_domain_rejected():
     eng = Engine()
     d1 = eng.new_iset()

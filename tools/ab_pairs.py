@@ -12,9 +12,12 @@ For every metric the script prints each side's median and quartiles over
 its runs and the number of pairs the change won, ties counting for
 neither. A gain holds when the change won at least nine tenths of the
 pairs and the medians differ, in the better direction, by more than the
-distance between the parent's quartiles. It also prints each side's
-`failed` count per run. Child runs are told not to write bytecode, so
-nothing is written under either checkout's bench/.
+distance between the parent's quartiles, and it is judged only from
+MIN_PAIRS pairs or more: with fewer the script says the pairs are too
+few. It also prints each side's `failed` count per run. The workload must
+be one that the change's BENCHMARK.json lists, since each run reports a
+single workload. Child runs are told not to write bytecode, so nothing is
+written under either checkout's bench/.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+MIN_PAIRS = 10
+
 
 def quartiles(values: list) -> "tuple[float, float, float]":
     """(first quartile, median, third quartile), inclusive method."""
@@ -38,7 +43,8 @@ def quartiles(values: list) -> "tuple[float, float, float]":
 
 def summarise(parent: list, change: list, better: str) -> dict:
     """Compare one metric over pairs: parent[i] and change[i] are the two
-    runs of pair i, and better is "lower" or "higher"."""
+    runs of pair i, and better is "lower" or "higher". gain_holds is None
+    when there are fewer than MIN_PAIRS pairs to judge from."""
     sign = -1 if better == "lower" else 1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p1, p50, p3 = quartiles(parent)
@@ -49,7 +55,8 @@ def summarise(parent: list, change: list, better: str) -> dict:
         "change": (c1, c50, c3),
         "wins": wins,
         "pairs": len(parent),
-        "gain_holds": wins >= 0.9 * len(parent) and gap > p3 - p1,
+        "gain_holds": (wins >= 0.9 * len(parent) and gap > p3 - p1
+                       if len(parent) >= MIN_PAIRS else None),
     }
 
 
@@ -66,9 +73,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(lines[-1])
 
 
-def directions(checkout: Path) -> dict:
-    declared = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in declared.get("end_to_end", ())}
+def declared(checkout: Path) -> "tuple[list, dict]":
+    """The checkout's benchmark workload names, and whether each end-to-end
+    metric is better lower or higher."""
+    benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
+    return ([w["name"] for w in benchmark["workloads"]],
+            {m["name"]: m["better"] for m in benchmark.get("end_to_end", ())})
 
 
 def main(argv=None) -> int:
@@ -81,6 +91,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    workloads, better = declared(sides["change"])
+    if args.workload not in workloads:
+        parser.error(f"--workload must be one of {', '.join(workloads)}")
     runs: dict = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -90,7 +103,6 @@ def main(argv=None) -> int:
                for side in ("parent", "change")]
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): verdict_s_p50 "
               f"parent {p50[0]:.6g} change {p50[1]:.6g}", flush=True)
-    better = directions(sides["change"])
     print(f"\n{args.workload} seed={args.seed} seconds={args.seconds} pairs={args.pairs}")
     for side in ("parent", "change"):
         print(f"  {side} failed per run: {[run['failed'] for run in runs[side]]}")
@@ -101,8 +113,9 @@ def main(argv=None) -> int:
                         [r["metrics"][name]["value"] for r in runs["change"]],
                         better.get(name, "lower"))
         cells = ["{:.6g} / {:.6g} / {:.6g}".format(*row[side]) for side in ("parent", "change")]
+        holds = {True: "yes", False: "no", None: "too few pairs"}[row["gain_holds"]]
         print(f"  {name:<18} {cells[0]:>36} {cells[1]:>36}"
-              f"  {row['wins']:>2}/{row['pairs']}  {'yes' if row['gain_holds'] else 'no'}")
+              f"  {row['wins']:>2}/{row['pairs']}  {holds}")
     return 0
 
 
