@@ -64,6 +64,21 @@ class ProblemFile:
     var_names: list = field(default_factory=list)
 
 
+# The set-constraint kinds that take only iset names, and the source kinds;
+# a source directive holds its class's constructor arguments.
+_ISETC_CLASSES = {
+    "union": Union,
+    "intersection": Intersection,
+    "difference": Difference,
+    "inclusion": Inclusion,
+}
+_SOURCES = {
+    "script": ScriptedSource,
+    "range": RangeSource,
+    "interactive": InteractiveSource,
+}
+
+
 def _err(lineno, message):
     raise ProblemError(f"line {lineno}: {message}")
 
@@ -138,8 +153,8 @@ def parse(text: str) -> ProblemFile:
                 if tokens[3] not in isets:
                     _err(lineno, f"undefined iset {tokens[3]!r}")
                 problem.directives.append(("isetc", "member", element, tokens[3]))
-            elif kind in ("union", "intersection", "difference", "inclusion"):
-                want = 2 if kind == "inclusion" else 3
+            elif kind in _ISETC_CLASSES:
+                want = _ISETC_CLASSES[kind].ARITY
                 args = tokens[2:]
                 if len(args) != want:
                     _err(lineno, f"isetc {kind} takes {want} iset names")
@@ -163,20 +178,20 @@ def parse(text: str) -> ProblemFile:
                 m = _SCRIPT_RE.fullmatch(line)
                 if not m:
                     _err(lineno, "expected: source <iset> script [e1,e2,...]")
-                payload = _elements(m.group(2), lineno)
+                source_args = (_elements(m.group(2), lineno),)
             elif kind == "range":
                 m = _RANGE_RE.fullmatch(line)
                 if not m:
                     _err(lineno, "expected: source <iset> range <lo>..<hi>")
-                payload = (int(m.group(2)), int(m.group(3)))
+                source_args = (int(m.group(2)), int(m.group(3)))
             elif kind == "interactive":
                 if len(tokens) != 3:
                     _err(lineno, "expected: source <iset> interactive")
-                payload = None
+                source_args = (iset,)
             else:
                 _err(lineno, f"unknown source kind {kind!r}")
             sourced.add(iset)
-            problem.directives.append(("source", iset, kind, payload))
+            problem.directives.append(("source", iset, kind, source_args))
         elif head == "option":
             tokens = line.split()
             if len(tokens) != 3 or tokens[1] != "labeling" or tokens[2] not in ("on", "off"):
@@ -185,13 +200,6 @@ def parse(text: str) -> ProblemFile:
         else:
             _err(lineno, f"unknown directive {head!r}")
     return problem
-
-
-_ISETC_CLASSES = {
-    "union": Union,
-    "intersection": Intersection,
-    "difference": Difference,
-}
 
 
 def build(problem: ProblemFile) -> "tuple[Engine, dict]":
@@ -217,8 +225,6 @@ def build(problem: ProblemFile) -> "tuple[Engine, dict]":
             kind = directive[1]
             if kind == "member":
                 constraint = Member(directive[2], iset_ids[directive[3]])
-            elif kind == "inclusion":
-                constraint = Inclusion(iset_ids[directive[2]], iset_ids[directive[3]])
             else:
                 constraint = _ISETC_CLASSES[kind](*(iset_ids[n] for n in directive[2:]))
             try:
@@ -226,14 +232,8 @@ def build(problem: ProblemFile) -> "tuple[Engine, dict]":
             except Inconsistency:
                 pass  # the engine keeps it, and solve() reports it
         elif tag == "source":
-            _, iset, kind, payload = directive
-            if kind == "script":
-                source = ScriptedSource(payload)
-            elif kind == "range":
-                source = RangeSource(*payload)
-            else:
-                source = InteractiveSource(iset)
-            engine.register_source(iset_ids[iset], source)
+            _, iset, kind, source_args = directive
+            engine.register_source(iset_ids[iset], _SOURCES[kind](*source_args))
     return engine, var_ids
 
 

@@ -88,7 +88,7 @@ class Engine:
         return self.isets.new_iset(elements, open=open, name=name)
 
     def post_iset_constraint(self, constraint: IsetConstraint) -> None:
-        """Post a set constraint. An Inconsistency its activation derives is
+        """Post a set constraint. An Inconsistency its posting derives is
         re-raised, and a copy of it without the traceback, whose frames
         hold the engine, is kept as the engine's final verdict (see solve)."""
         try:
@@ -244,9 +244,8 @@ class Engine:
         self.trace.append(("ACQUIRE", s.name, element))
         if element is None:
             isets._close(s)
-            self.propagate_isets()
-            return None
-        isets._insert(s, element)
+        else:
+            isets._insert(s, element)
         self.propagate_isets()
         return element
 
@@ -429,7 +428,7 @@ class Engine:
                     if x is not None:
                         return (x,)
             return None
-        pools = self._pools(others, present_only=False)
+        pools = self._pools(others)
         fresh = None
         while True:
             support = self._find_tuple(element, arc, pools, fresh)
@@ -443,17 +442,17 @@ class Engine:
                 return None
             self.acquire(target.def_domain, requesting_var=target.id,
                          requesting_constraint=constraint.name)
-            grown = self._pools(others, present_only=False)
+            grown = self._pools(others)
             fresh = {x for pool, longer in zip(pools, grown) for x in longer[len(pool):]}
             pools = grown
 
-    def _pools(self, others: tuple, *, present_only: bool) -> list:
+    def _pools(self, others: tuple) -> list:
         """Each other variable's supporter pool: its present values, and
-        unless present_only its observed values and candidates after them."""
+        unless it is bound its observed values and candidates after them."""
         pools = []
         for w in others:
             wvar = self.variables[w]
-            if present_only or wvar.bound_to is not None:
+            if wvar.bound_to is not None:
                 # A bound variable may only support with its committed value.
                 pools.append(list(wvar.present))
             else:
@@ -682,7 +681,7 @@ class Engine:
         supporting element of the popped variable, against that variable's
         states, and on a miss scans its present list in place: w's removals
         leave it unchanged. Any other arc tests each value of its residue
-        tuple, and searches pools of present values built once per arc.
+        tuple, and searches the present lists of the others in place.
 
         A later pop of v in the same call skips v's binary arcs, those
         whose others is just (v,) (repeated arguments such as [a, a, b]
@@ -712,9 +711,9 @@ class Engine:
                         continue
                     wvar = variables[w]
                     binary = spread is None and len(others) == 1
-                    if not binary:
+                    if not binary:  # removing w's values leaves these unchanged
                         states = [variables[u].states for u in others]
-                        pools = None  # built once: removing w's values leaves them valid
+                        pools = [variables[u].present for u in others]
                     for e in list(wvar.present):
                         residue = residues.get(e)
                         if binary:
@@ -726,8 +725,6 @@ class Engine:
                                     state.get(x) is present
                                     for state, x in zip(states, residue)):
                                 continue
-                            if pools is None:
-                                pools = self._pools(others, present_only=True)
                             support = self._find_tuple(e, arc, pools)
                         if support is None:
                             self._move(wvar, e, PairState.REMOVED)

@@ -83,29 +83,39 @@ class Iset:
 class IsetConstraint:
     """Base class for set constraints: reacts to events on its arguments.
 
-    args() returns the ids of every iset the constraint reads or changes,
-    in argument order. watches() returns (inserted_args, closed_args), each
-    drawn from args() (post() rejects any other id): the arguments, in
-    argument order, whose insertions reach on_inserted and whose closure
-    reaches on_closed. Nothing else is delivered, so a handler never sees
-    an event for a role it does not act on.
+    A built-in constraint states its shape once, in three class attributes:
+    ARITY, the number of iset ids it takes, and INSERTED and CLOSED, the
+    positions among them whose insertions reach on_inserted and whose
+    closure reaches on_closed. The constructor takes the ids, in argument
+    order, and raises TypeError for any other count before anything is
+    posted. Nothing else is delivered, so a handler never sees an event for
+    a role it does not act on.
+
+    The store reads that shape through two methods, which a subclass may
+    override instead: args() returns the ids of every iset the constraint
+    reads or changes, in argument order, and watches() returns
+    (inserted_args, closed_args), each drawn from args() (post() rejects
+    any other id).
 
     post() resolves every one of args() to its Iset record once, which
     validates it: an unknown id raises ValueError before anything is
-    recorded. It then sets self.sets to the records, in argument order, and
-    calls activate(). From there on the constraint works on the records and
-    looks up no id: it reads s.known (an insertion-ordered dict of the known
-    elements), s.open and s.name directly, and changes a set only through
-    the store, with store._insert(s, element) and store._close(s), the
-    record-taking forms of ensure_member and close; _insert does not check
-    that its element is one (see is_element), so a constraint inserts only
-    elements it read from a set or checked itself. Handlers still receive
-    the event's iset as an id, and tell the roles of a watched iset apart by
-    comparing it with the records' ids.
+    recorded. It then sets self.sets to the records, in argument order,
+    files the constraint under the isets it watches, and replays their
+    history to the handlers (see IsetStore.post) before it calls
+    activate(), a hook for work done once at posting. From there on the
+    constraint works on the records and looks up no id: it reads s.known
+    (an insertion-ordered dict of the known elements), s.open and s.name
+    directly, and changes a set only through the store, with
+    store._insert(s, element) and store._close(s), the record-taking forms
+    of ensure_member and close; _insert does not check that its element is
+    one (see is_element), so a constraint inserts only elements it read
+    from a set or checked itself. Handlers still receive the event's iset
+    as an id, and tell the roles of a watched iset apart by comparing it
+    with the records' ids.
 
-    Handlers must be idempotent: activation replays history on posting, and
-    an event queued before posting will reach the constraint a second time
-    when it is drained.
+    Handlers must be idempotent: posting replays history, and an event
+    queued before posting will reach the constraint a second time when it
+    is drained.
 
     A constraint that keeps mutable state of its own must record how to
     undo each change with store.record(undo, *args), as Union does for its
@@ -113,13 +123,24 @@ class IsetConstraint:
     backtracks.
     """
 
+    ARITY = 0
+    INSERTED: tuple = ()  # positions in args()
+    CLOSED: tuple = ()
+    isets: tuple = ()  # the iset ids, in argument order
     sets: tuple = ()  # the Iset records of args(), set by IsetStore.post
 
+    def __init__(self, *isets: int):
+        if len(isets) != self.ARITY:
+            raise TypeError(f"{type(self).__name__} takes {self.ARITY} iset ids, "
+                            f"got {len(isets)}")
+        self.isets = isets
+
     def args(self) -> tuple:
-        return ()
+        return self.isets
 
     def watches(self) -> tuple:
-        return (), ()
+        isets = self.isets
+        return [isets[p] for p in self.INSERTED], [isets[p] for p in self.CLOSED]
 
     def on_inserted(self, store: "IsetStore", iset: int, element: Element) -> None:
         pass
@@ -128,48 +149,33 @@ class IsetConstraint:
         pass
 
     def activate(self, store: "IsetStore") -> None:
-        """Replay the watched arguments' history so that posting order is
-        irrelevant."""
-        sets = {s.id: s for s in self.sets}
-        inserted, closed = self.watches()
-        for i in dict.fromkeys(inserted):
-            for e in list(sets[i].known):
-                self.on_inserted(store, i, e)
-        for i in dict.fromkeys(closed):
-            if not sets[i].open:
-                self.on_closed(store, i)
+        """Called once by post(), after the replay."""
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f's{i}' for i in self.args())})"
 
 
 class Member(IsetConstraint):
     """element ∈ iset, enforced once at posting time. ValueError if element
     is not an element."""
 
+    ARITY = 1
+
     def __init__(self, element: Element, iset: int):
         self.element = check_element(element)
-        self.iset = iset
-
-    def args(self):
-        return (self.iset,)
+        super().__init__(iset)
 
     def activate(self, store):
         store._insert(self.sets[0], self.element)
 
     def __repr__(self):
-        return f"Member({self.element!r}, s{self.iset})"
+        return f"Member({self.element!r}, s{self.isets[0]})"
 
 
 class Inclusion(IsetConstraint):
     """a ⊆ b."""
 
-    def __init__(self, a: int, b: int):
-        self.a = a
-        self.b = b
-
-    def args(self):
-        return self.a, self.b
-
-    def watches(self):
-        return (self.a,), (self.b,)
+    ARITY, INSERTED, CLOSED = 2, (0,), (1,)
 
     def on_inserted(self, store, iset, element):
         a, b = self.sets
@@ -193,23 +199,11 @@ class Inclusion(IsetConstraint):
         if not b.open and a.known.keys() == b.known.keys():
             store._close(a)
 
-    def __repr__(self):
-        return f"Inclusion(s{self.a}, s{self.b})"
-
 
 class Intersection(IsetConstraint):
     """a ∩ b = c."""
 
-    def __init__(self, a: int, b: int, c: int):
-        self.a = a
-        self.b = b
-        self.c = c
-
-    def args(self):
-        return self.a, self.b, self.c
-
-    def watches(self):
-        return (self.a, self.b, self.c), (self.a, self.b)
+    ARITY, INSERTED, CLOSED = 3, (0, 1, 2), (0, 1)
 
     def on_inserted(self, store, iset, element):
         a, b, c = self.sets
@@ -237,9 +231,6 @@ class Intersection(IsetConstraint):
             store._insert(c, e)
         store._close(c)
 
-    def __repr__(self):
-        return f"Intersection(s{self.a}, s{self.b}, s{self.c})"
-
 
 class Union(IsetConstraint):
     """a ∪ b = c.
@@ -249,17 +240,11 @@ class Union(IsetConstraint):
     and settled when either operand closes.
     """
 
-    def __init__(self, a: int, b: int, c: int):
-        self.a = a
-        self.b = b
-        self.c = c
+    ARITY, INSERTED, CLOSED = 3, (0, 1, 2), (0, 1)
+
+    def __init__(self, *isets: int):
+        super().__init__(*isets)
         self.pending: list = []
-
-    def args(self):
-        return self.a, self.b, self.c
-
-    def watches(self):
-        return (self.a, self.b, self.c), (self.a, self.b)
 
     def on_inserted(self, store, iset, element):
         a, b, c = self.sets
@@ -297,9 +282,6 @@ class Union(IsetConstraint):
                 store._insert(c, e)
             store._close(c)
 
-    def __repr__(self):
-        return f"Union(s{self.a}, s{self.b}, s{self.c})"
-
 
 class Difference(IsetConstraint):
     """a ∖ b = c.
@@ -308,16 +290,7 @@ class Difference(IsetConstraint):
     open their membership in c is not yet decidable and is deferred.
     """
 
-    def __init__(self, a: int, b: int, c: int):
-        self.a = a
-        self.b = b
-        self.c = c
-
-    def args(self):
-        return self.a, self.b, self.c
-
-    def watches(self):
-        return (self.a, self.b, self.c), (self.a, self.b)
+    ARITY, INSERTED, CLOSED = 3, (0, 1, 2), (0, 1)
 
     def on_inserted(self, store, iset, element):
         a, b, c = self.sets
@@ -342,9 +315,6 @@ class Difference(IsetConstraint):
                     store._insert(c, e)
             if not a.open:
                 store._close(c)
-
-    def __repr__(self):
-        return f"Difference(s{self.a}, s{self.b}, s{self.c})"
 
 
 class IsetStore:
@@ -466,18 +436,29 @@ class IsetStore:
 
     def post(self, constraint: IsetConstraint) -> None:
         """Resolve the constraint's arguments to their records, file it
-        under the isets it watches and replay their history against it.
+        under the isets it watches, replay their history against it and
+        call its activate().
 
-        Every argument is validated before anything is recorded."""
+        The replay hands the handlers every element each watched iset
+        knows, iset by iset in watch order and each in known order, then
+        the closure of each watched iset that is closed, so that posting
+        order is irrelevant. Every argument is validated before anything
+        is recorded."""
         sets = tuple(map(self._get, constraint.args()))
-        inserted, closed = constraint.watches()
+        inserted, closed = map(dict.fromkeys, constraint.watches())
         if not {*inserted, *closed} <= {s.id for s in sets}:
             raise ValueError(f"{constraint!r} watches an iset outside its args()")
         constraint.sets = sets
-        for i in dict.fromkeys(inserted):
+        for i in inserted:
             self._on_inserted[i].append(constraint)
-        for i in dict.fromkeys(closed):
+        for i in closed:
             self._on_closed[i].append(constraint)
+        for i in inserted:
+            for e in list(self._isets[i].known):
+                constraint.on_inserted(self, i, e)
+        for i in closed:
+            if not self._isets[i].open:
+                constraint.on_closed(self, i)
         constraint.activate(self)
 
     def fixpoint(self) -> list:

@@ -294,3 +294,82 @@ def test_module_entry_point_interactive_stdin(tmp_path):
     assert proc.returncode == 0
     assert "DOMAIN v present=[7] removed=[]" in proc.stdout
     assert "acquire d for v? " in proc.stdout
+
+
+# ----------------------------------------------------------------------
+# every parse error, with its line
+
+_DECLS = "iset a open {}\niset b open {}\niset c open {}\nvar v :: a\n"
+
+PARSE_ERRORS = {
+    "bad element in an iset": ("iset s open {1, Bad}", "bad element 'Bad'"),
+    "iset syntax": ("iset s maybe {}", "expected: iset <name> open|closed {e1,e2,...}"),
+    "duplicate iset": ("iset a closed {}", "duplicate iset 'a'"),
+    "var syntax": ("var w : a", "expected: var <name> :: <iset>"),
+    "duplicate var": ("var v :: b", "duplicate var 'v'"),
+    "var over an undefined iset": ("var w :: d", "undefined iset 'd'"),
+    "fdc without a name": ("fdc", "expected: fdc <cname> <var>..."),
+    "unknown fdc": ("fdc frob v", "unknown constraint name 'frob'"),
+    "fdc over an undefined var": ("fdc eq v w", "undefined var 'w'"),
+    "member arity": ("isetc member 5", "expected: isetc member <e> <iset>"),
+    "member element": ("isetc member Five a", "bad element 'Five'"),
+    "member over an undefined iset": ("isetc member 5 d", "undefined iset 'd'"),
+    "union arity": ("isetc union a b", "isetc union takes 3 iset names"),
+    "intersection arity": ("isetc intersection a b c a",
+                           "isetc intersection takes 3 iset names"),
+    "difference arity": ("isetc difference a", "isetc difference takes 3 iset names"),
+    "inclusion arity": ("isetc inclusion a b c", "isetc inclusion takes 2 iset names"),
+    "isetc over an undefined iset": ("isetc union a b d", "undefined iset 'd'"),
+    "inclusion over an undefined iset": ("isetc inclusion d a", "undefined iset 'd'"),
+    "unknown isetc": ("isetc subset a b", "unknown iset constraint 'subset'"),
+    "isetc without a kind": ("isetc", "unknown iset constraint ''"),
+    "source syntax": ("source a", "expected: source <iset> script|range|interactive ..."),
+    "source of an undefined iset": ("source d range 1..2", "undefined iset 'd'"),
+    "second source": ("source a range 1..2\nsource a interactive",
+                      "'a' already has a source"),
+    "script syntax": ("source a script 1,2", "expected: source <iset> script [e1,e2,...]"),
+    "script element": ("source a script [1,X]", "bad element 'X'"),
+    "range syntax": ("source a range 1...2", "expected: source <iset> range <lo>..<hi>"),
+    "interactive syntax": ("source a interactive now", "expected: source <iset> interactive"),
+    "unknown source kind": ("source a oracle", "unknown source kind 'oracle'"),
+    "option syntax": ("option labeling maybe", "expected: option labeling on|off"),
+    "unknown option": ("option tracing on", "expected: option labeling on|off"),
+    "unknown directive": ("frobnicate v", "unknown directive 'frobnicate'"),
+}
+
+
+@pytest.mark.parametrize("tail, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys())
+def test_every_parse_error_names_its_line(tail, message):
+    text = _DECLS + tail + "\n"
+    with pytest.raises(ProblemError) as raised:
+        parse(text)
+    assert str(raised.value) == f"line {text.count(chr(10))}: {message}"
+
+
+def test_member_and_inclusion_directives_are_built_and_posted():
+    code, text = run_text(
+        "iset a open {}\niset b closed {5, 6}\nvar v :: a\n"
+        "isetc member 5 a\nisetc inclusion a b\n"
+    )
+    assert code == 0
+    assert text == "RESULT consistent\nDOMAIN v present=[5] removed=[]\n"
+
+
+def test_an_interactive_source_is_built_over_standard_input(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("7\nnone\n"))
+    code, text = run_text("iset d open {}\nvar v :: d\nvar w :: d\nfdc ne v w\n"
+                          "source d interactive\n")
+    assert code == 1
+    assert text == ("RESULT inconsistent\nDOMAIN v present=[] removed=[7]\n"
+                    "DOMAIN w present=[] removed=[7]\n")
+    assert capsys.readouterr().out == "acquire d for v? acquire d for w? "
+
+
+def test_main_reports_a_repeating_source_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "repeat.icsp"
+    path.write_text("iset d open {}\nvar v :: d\nvar w :: d\nfdc lt v w\n"
+                    "source d script [1,1]\n", encoding="utf-8")
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: source for d repeated element 1\n"

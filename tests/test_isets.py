@@ -181,7 +181,7 @@ def test_none_is_not_an_element(route, bad):
 
 
 # ----------------------------------------------------------------------
-# posting and retroactive activation
+# posting and its replay of history
 
 def test_member_posts_immediately():
     store = IsetStore()
@@ -284,7 +284,7 @@ def test_inclusion_forward():
 
 def test_inclusion_gets_no_call_for_superset_insertions():
     # a ⊆ b acts on insertions into a and on the closure of b only, so
-    # neither activation nor the fixpoint calls it for the rest.
+    # neither the replay at posting nor the fixpoint calls it for the rest.
     store = IsetStore()
     a = store.new_iset([1])
     b = store.new_iset([1, 2])
@@ -663,7 +663,7 @@ def test_a_custom_constraint_works_through_posting_replay_and_search():
     b = eng.new_iset(name="b")
     eng.register_source(a, ScriptedSource([3]))
     doubled = Doubled(a, b)
-    eng.post_iset_constraint(doubled)  # activation replays a's history
+    eng.post_iset_constraint(doubled)  # posting replays a's history
     assert eng.isets.known_in_order(b) == [2, 4]
     assert doubled.forwarded == [1, 2]
     # Four pairwise different variables over a: propagation finds nothing to
@@ -687,3 +687,55 @@ def test_a_custom_constraint_works_through_posting_replay_and_search():
     assert doubled.forwarded == [1, 2]
     assert eng.isets.known_in_order(b) == [2, 4] and not eng.isets.is_closed(b)
     assert eng.isets.trail is None
+
+
+@pytest.mark.parametrize("kind, message", [
+    (Intersection, "s2 holds [7] outside s0 ∩ s1"),
+    (Union, "s2 holds 7 outside s0 ∪ s1"),
+])
+def test_closing_both_operands_rejects_a_result_element_outside_them(kind, message):
+    store = IsetStore()
+    a = store.new_iset([1])
+    b = store.new_iset([1, 2])
+    c = store.new_iset()
+    store.post(kind(a, b, c))
+    store.fixpoint()
+    store.close(a)
+    store.close(b)
+    store.ensure_member(c, 7)
+    with pytest.raises(Inconsistency) as raised:
+        store.fixpoint()
+    assert str(raised.value) == message
+
+
+def test_built_in_set_constraints_print_their_arguments_and_check_their_count():
+    assert [repr(c) for c in (Member(5, 0), Member("blue", 2), Inclusion(0, 1),
+                              Intersection(0, 1, 2), Union(3, 4, 5), Difference(2, 1, 0))] == [
+        "Member(5, s0)", "Member('blue', s2)", "Inclusion(s0, s1)",
+        "Intersection(s0, s1, s2)", "Union(s3, s4, s5)", "Difference(s2, s1, s0)"]
+    with pytest.raises(TypeError):
+        Intersection(0, 1)
+    with pytest.raises(TypeError):
+        Inclusion(0, 1, 2)
+
+
+def test_posting_asks_a_constraint_for_its_arguments_and_watches_once():
+    calls = []
+
+    class Counted(Union):
+        def args(self):
+            calls.append("args")
+            return super().args()
+
+        def watches(self):
+            calls.append("watches")
+            return super().watches()
+
+    store = IsetStore()
+    a = store.new_iset([1], open=False)
+    b = store.new_iset([2])
+    c = store.new_iset([2])
+    store.post(Counted(a, b, c))
+    assert sorted(calls) == ["args", "watches"]
+    store.fixpoint()
+    assert store.known_in_order(c) == [2, 1]

@@ -6,9 +6,16 @@ import io
 
 import pytest
 
-from icsp import Engine, InteractiveSource, Intersection, PairState, ScriptedSource
+from icsp import (
+    Engine,
+    Inclusion,
+    InteractiveSource,
+    Intersection,
+    PairState,
+    ScriptedSource,
+)
 
-from instances import engine_kac_holds, pair_place_errors
+from instances import engine_kac_holds, engine_state, pair_place_errors
 
 
 def gated_triangle(a_open=False, a_script=None):
@@ -313,3 +320,33 @@ def test_a_value_bound_by_label_discards_later_arrivals():
     assert eng.present(x) == [1] and eng.removed(x) == [2, 7]
     assert eng.transitions[-1] == (x, 7, PairState.CANDIDATE, PairState.REMOVED, "search")
     assert pair_place_errors(eng) == []
+
+
+def test_an_acquisition_at_an_exhausted_node_that_contradicts_is_undone():
+    # v's values 1 and 2 each fail, since z must both equal and differ
+    # from v, so the node for v acquires. The reply 3 cannot enter de, the
+    # closed superset of v's domain, and the node fails; for x=2 the reply
+    # is replayed, not asked for again, and fails the same way.
+    eng = Engine()
+    dx = eng.new_iset([1, 2], open=False, name="dx")
+    dv = eng.new_iset([1, 2], name="dv")
+    de = eng.new_iset([1, 2, 4], open=False, name="de")
+    dz = eng.new_iset([1, 2], open=False, name="dz")
+    calls = []
+    source = ScriptedSource([3])
+    served = source.next
+    source.next = lambda iset, ctx: calls.append(iset) or served(iset, ctx)
+    eng.register_source(dv, source)
+    eng.post_iset_constraint(Inclusion(dv, de))
+    x = eng.new_fd_variable(dx, name="x")
+    v = eng.new_fd_variable(dv, name="v")
+    z = eng.new_fd_variable(dz, name="z")
+    eng.post_fd_constraint("eq", [v, z])
+    eng.post_fd_constraint("ne", [v, z])
+    assert eng.solve() is True
+    before = engine_state(eng)
+    assert eng.label([x, v, z]) is None
+    assert engine_state(eng) == before
+    assert eng.isets.trail is None
+    assert calls == [dv]
+    assert eng.acquisitions == [(dv, v, 3), (dv, v, 3)]

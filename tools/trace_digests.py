@@ -21,7 +21,7 @@ Each workload line also gives verify_calls and source_calls, the verifier
 and source calls made over all its instances, label_nodes and restores,
 the marks label() took on its undo trail and the restores to them, and
 set_handler_calls, the calls to set constraints' on_inserted and
-on_closed, activation replay included. They are counted as
+on_closed, the replay at posting included. They are counted as
 bench/tracing.py counts them, by replacing each constraint's verify once
 it is posted, each source's next as it is registered, each engine's
 isets.get_state and set_state, and each set constraint's two handlers as
