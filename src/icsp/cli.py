@@ -47,8 +47,11 @@ from .isets import (
 _NAME = r"[a-z][a-z0-9_]*"
 _ISET_RE = re.compile(rf"iset\s+({_NAME})\s+(open|closed)\s+\{{\s*(.*?)\s*\}}\Z")
 _VAR_RE = re.compile(rf"var\s+({_NAME})\s+::\s+({_NAME})\Z")
-_SCRIPT_RE = re.compile(rf"source\s+({_NAME})\s+script\s+\[\s*(.*?)\s*\]\Z")
-_RANGE_RE = re.compile(rf"source\s+({_NAME})\s+range\s+(-?\d+)\.\.(-?\d+)\Z")
+_MEMBER_RE = re.compile(r"isetc\s+member\s+(\S+)\s+(\S+)\Z")
+_SCRIPT_RE = re.compile(rf"source\s+{_NAME}\s+script\s+\[\s*(.*?)\s*\]\Z")
+_RANGE_RE = re.compile(rf"source\s+{_NAME}\s+range\s+(-?\d+)\.\.(-?\d+)\Z")
+_INTERACTIVE_RE = re.compile(rf"source\s+{_NAME}\s+interactive\Z")
+_OPTION_RE = re.compile(r"option\s+labeling\s+(on|off)\Z")
 
 
 class ProblemError(Exception):
@@ -83,11 +86,28 @@ def _err(lineno, message):
     raise ProblemError(f"line {lineno}: {message}")
 
 
+def _declare(names, kind, name, lineno):
+    if name in names:
+        _err(lineno, f"duplicate {kind} {name!r}")
+    names.add(name)
+
+
+def _need(names, kind, wanted, lineno):
+    for name in wanted:
+        if name not in names:
+            _err(lineno, f"undefined {kind} {name!r}")
+
+
+def _match(regex, line, usage, lineno):
+    m = regex.fullmatch(line)
+    if m is None:
+        _err(lineno, f"expected: {usage}")
+    return m.groups()
+
+
 def _elements(body, lineno):
-    if not body:
-        return []
     out = []
-    for piece in body.split(","):
+    for piece in body.split(",") if body else ():
         try:
             out.append(parse_element(piece))
         except ValueError:
@@ -104,31 +124,20 @@ def parse(text: str) -> ProblemFile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head = line.split()[0]
+        tokens = line.split()
+        head = tokens[0]
         if head == "iset":
-            m = _ISET_RE.fullmatch(line)
-            if not m:
-                _err(lineno, "expected: iset <name> open|closed {e1,e2,...}")
-            name, mode, body = m.groups()
-            if name in isets:
-                _err(lineno, f"duplicate iset {name!r}")
-            isets.add(name)
-            problem.directives.append(("iset", name, mode == "open",
-                                       _elements(body, lineno)))
+            name, mode, body = _match(_ISET_RE, line,
+                                      "iset <name> open|closed {e1,e2,...}", lineno)
+            _declare(isets, "iset", name, lineno)
+            problem.directives.append(("iset", name, mode == "open", _elements(body, lineno)))
         elif head == "var":
-            m = _VAR_RE.fullmatch(line)
-            if not m:
-                _err(lineno, "expected: var <name> :: <iset>")
-            name, iset = m.groups()
-            if name in variables:
-                _err(lineno, f"duplicate var {name!r}")
-            if iset not in isets:
-                _err(lineno, f"undefined iset {iset!r}")
-            variables.add(name)
+            name, iset = _match(_VAR_RE, line, "var <name> :: <iset>", lineno)
+            _declare(variables, "var", name, lineno)
+            _need(isets, "iset", [iset], lineno)
             problem.var_names.append(name)
             problem.directives.append(("var", name, iset))
         elif head == "fdc":
-            tokens = line.split()
             if len(tokens) < 2:
                 _err(lineno, "expected: fdc <cname> <var>...")
             cname, args = tokens[1], tokens[2:]
@@ -136,67 +145,51 @@ def parse(text: str) -> ProblemFile:
                 builtin_verifier(cname, len(args))
             except ValueError as exc:
                 _err(lineno, str(exc))
-            for v in args:
-                if v not in variables:
-                    _err(lineno, f"undefined var {v!r}")
+            _need(variables, "var", args, lineno)
             problem.directives.append(("fdc", cname, args))
         elif head == "isetc":
-            tokens = line.split()
-            kind = tokens[1] if len(tokens) > 1 else ""
+            if len(tokens) < 2:
+                _err(lineno, f"expected: isetc member|{'|'.join(_ISETC_CLASSES)} ...")
+            kind, args = tokens[1], tokens[2:]
             if kind == "member":
-                if len(tokens) != 4:
-                    _err(lineno, "expected: isetc member <e> <iset>")
+                token, iset = _match(_MEMBER_RE, line, "isetc member <e> <iset>", lineno)
                 try:
-                    element = parse_element(tokens[2])
+                    element = parse_element(token)
                 except ValueError:
-                    _err(lineno, f"bad element {tokens[2]!r}")
-                if tokens[3] not in isets:
-                    _err(lineno, f"undefined iset {tokens[3]!r}")
-                problem.directives.append(("isetc", "member", element, tokens[3]))
+                    _err(lineno, f"bad element {token!r}")
+                _need(isets, "iset", [iset], lineno)
+                problem.directives.append(("isetc", "member", element, iset))
             elif kind in _ISETC_CLASSES:
                 want = _ISETC_CLASSES[kind].ARITY
-                args = tokens[2:]
                 if len(args) != want:
                     _err(lineno, f"isetc {kind} takes {want} iset names")
-                for name in args:
-                    if name not in isets:
-                        _err(lineno, f"undefined iset {name!r}")
+                _need(isets, "iset", args, lineno)
                 problem.directives.append(("isetc", kind, *args))
             else:
                 _err(lineno, f"unknown iset constraint {kind!r}")
         elif head == "source":
-            tokens = line.split()
             if len(tokens) < 3:
                 _err(lineno, "expected: source <iset> script|range|interactive ...")
-            iset = tokens[1]
-            if iset not in isets:
-                _err(lineno, f"undefined iset {iset!r}")
+            iset, kind = tokens[1], tokens[2]
+            _need(isets, "iset", [iset], lineno)
             if iset in sourced:
                 _err(lineno, f"{iset!r} already has a source")
-            kind = tokens[2]
             if kind == "script":
-                m = _SCRIPT_RE.fullmatch(line)
-                if not m:
-                    _err(lineno, "expected: source <iset> script [e1,e2,...]")
-                source_args = (_elements(m.group(2), lineno),)
+                body, = _match(_SCRIPT_RE, line, "source <iset> script [e1,e2,...]", lineno)
+                source_args = (_elements(body, lineno),)
             elif kind == "range":
-                m = _RANGE_RE.fullmatch(line)
-                if not m:
-                    _err(lineno, "expected: source <iset> range <lo>..<hi>")
-                source_args = (int(m.group(2)), int(m.group(3)))
+                lo, hi = _match(_RANGE_RE, line, "source <iset> range <lo>..<hi>", lineno)
+                source_args = (int(lo), int(hi))
             elif kind == "interactive":
-                if len(tokens) != 3:
-                    _err(lineno, "expected: source <iset> interactive")
+                _match(_INTERACTIVE_RE, line, "source <iset> interactive", lineno)
                 source_args = (iset,)
             else:
                 _err(lineno, f"unknown source kind {kind!r}")
             sourced.add(iset)
             problem.directives.append(("source", iset, kind, source_args))
         elif head == "option":
-            tokens = line.split()
-            if len(tokens) != 3 or tokens[1] != "labeling" or tokens[2] not in ("on", "off"):
-                _err(lineno, "expected: option labeling on|off")
-            problem.labeling = tokens[2] == "on"
+            setting, = _match(_OPTION_RE, line, "option labeling on|off", lineno)
+            problem.labeling = setting == "on"
         else:
             _err(lineno, f"unknown directive {head!r}")
     return problem
@@ -289,13 +282,8 @@ def main(argv=None) -> int:
                         help="search for a total assignment after propagation")
     args = parser.parse_args(argv)
     try:
-        text = Path(args.problem).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        problem = parse(text)
-    except ProblemError as exc:
+        problem = parse(Path(args.problem).read_text(encoding="utf-8"))
+    except (OSError, ProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -40,7 +40,7 @@ from .fd import (
     SupportGraph,
     builtin_verifier,
 )
-from .isets import Element, Iset, IsetConstraint, IsetStore, is_element
+from .isets import Element, IsetConstraint, IsetStore, is_element
 
 _SEARCH_ALLOWED = ALLOWED_TRANSITIONS | SEARCH_TRANSITIONS
 
@@ -111,36 +111,28 @@ class Engine:
 
     def new_fd_variable(self, def_domain: "int | None" = None, *,
                         name: "str | None" = None) -> int:
+        """Create a variable, linked to its definition domain when one is
+        given; this is the only way a variable gets one.
+
+        The variable keeps the iset's id in def_domain and its Iset record
+        in domain. Elements already known to the iset become candidates
+        immediately. An unknown iset raises before the variable exists."""
         domain = self.isets._get(def_domain) if def_domain is not None else None
         vid = len(self.variables)
         var = FdVariable(vid, name or f"v{vid}")
         self.variables.append(var)
         if domain is not None:
-            self._link(var, domain)
+            var.domain = domain
+            var.def_domain = domain.id
+            self._links.setdefault(domain.id, []).append(vid)
+            for element in list(domain.known):
+                self._enqueue(var, element)
         return vid
 
     def variable(self, vid: int) -> FdVariable:
         if type(vid) is not int or not 0 <= vid < len(self.variables):
             raise ValueError(f"unknown variable id {vid!r}")
         return self.variables[vid]
-
-    def def_domain(self, vid: int, iset: int) -> None:
-        """Link a variable to its definition domain (at most one per variable).
-
-        The variable keeps the iset's id in def_domain and its Iset record
-        in domain. Elements already known to the iset become candidates
-        immediately."""
-        var = self.variable(vid)
-        if var.def_domain is not None:
-            raise ValueError(f"{var.name} already has a definition domain")
-        self._link(var, self.isets._get(iset))
-
-    def _link(self, var: FdVariable, domain: Iset) -> None:
-        var.domain = domain
-        var.def_domain = domain.id
-        self._links.setdefault(domain.id, []).append(var.id)
-        for element in list(domain.known):
-            self._enqueue(var, element)
 
     def post_fd_constraint(self, name: str, args: Sequence[int],
                            verifier: "Callable[[list], bool] | None" = None) -> int:

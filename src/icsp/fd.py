@@ -58,7 +58,7 @@ class FdVariable:
         self.id = vid
         self.name = name
         # The definition domain's iset id, and its Iset record (see
-        # Engine.def_domain).
+        # Engine.new_fd_variable).
         self.def_domain: "int | None" = None
         self.domain: "Iset | None" = None
         self.present: list = []

@@ -311,8 +311,10 @@ PARSE_ERRORS = {
     "fdc without a name": ("fdc", "expected: fdc <cname> <var>..."),
     "unknown fdc": ("fdc frob v", "unknown constraint name 'frob'"),
     "fdc over an undefined var": ("fdc eq v w", "undefined var 'w'"),
+    "fdc with a bad constant": ("fdc sum_eq_const:x v", "bad constant in 'sum_eq_const:x'"),
     "member arity": ("isetc member 5", "expected: isetc member <e> <iset>"),
     "member element": ("isetc member Five a", "bad element 'Five'"),
+    "member element with a comma": ("isetc member 1,2 a", "bad element '1,2'"),
     "member over an undefined iset": ("isetc member 5 d", "undefined iset 'd'"),
     "union arity": ("isetc union a b", "isetc union takes 3 iset names"),
     "intersection arity": ("isetc intersection a b c a",
@@ -322,7 +324,8 @@ PARSE_ERRORS = {
     "isetc over an undefined iset": ("isetc union a b d", "undefined iset 'd'"),
     "inclusion over an undefined iset": ("isetc inclusion d a", "undefined iset 'd'"),
     "unknown isetc": ("isetc subset a b", "unknown iset constraint 'subset'"),
-    "isetc without a kind": ("isetc", "unknown iset constraint ''"),
+    "isetc without a kind": ("isetc", "expected: isetc member|union|intersection|"
+                                      "difference|inclusion ..."),
     "source syntax": ("source a", "expected: source <iset> script|range|interactive ..."),
     "source of an undefined iset": ("source d range 1..2", "undefined iset 'd'"),
     "second source": ("source a range 1..2\nsource a interactive",

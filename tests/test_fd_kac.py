@@ -98,10 +98,12 @@ def test_builtin_comparisons_order_ints_and_atoms_apart(name, op):
     *((Engine, name) for name in ("ensure_member", "close", "known", "is_closed",
                                   "enqueue_candidate", "pair_state", "candidates")),
     (IsetStore, "contains"),
+    (Engine, "def_domain"),
 ])
 def test_set_state_and_pairs_have_one_public_route(owner, name):
     # Sets are read and changed through engine.isets, pairs through
-    # engine.variable(v), and candidates come only from set propagation.
+    # engine.variable(v), and candidates come only from set propagation; a
+    # variable gets its definition domain only from new_fd_variable.
     assert not hasattr(owner, name)
 
 
@@ -113,6 +115,27 @@ def test_builtin_arity_checked_at_post():
         eng.post_fd_constraint("lt", [v])
     with pytest.raises(ValueError):
         eng.post_fd_constraint("no_such_thing", [v, v])
+
+
+def test_a_constraint_without_arguments_is_rejected():
+    eng = Engine()
+    with pytest.raises(ValueError, match="constraint needs at least one argument"):
+        eng.post_fd_constraint("c", [], lambda t: True)
+    assert eng.fd_constraints() == []
+
+
+def test_an_illegal_move_raises_before_changing_anything():
+    eng = Engine()
+    v = eng.new_fd_variable(eng.new_iset([1]), name="v")
+    var = eng.variable(v)
+    assert var.state(1) is PairState.CANDIDATE
+    before = (dict(var.states), list(var.present), list(var.removed),
+              list(var.candidates), list(eng.trace), list(eng.transitions))
+    with pytest.raises(AssertionError) as raised:
+        eng._move(var, 1, PairState.PRESENT)
+    assert str(raised.value) == "illegal prop transition candidate->present for (v,1)"
+    assert (dict(var.states), list(var.present), list(var.removed),
+            list(var.candidates), list(eng.trace), list(eng.transitions)) == before
 
 
 @pytest.mark.parametrize("vid", [-1, 1, "x", 0.0, True, False])
@@ -134,15 +157,6 @@ def test_unknown_constraint_id_is_a_usage_error(cid):
     with pytest.raises(ValueError, match="unknown constraint id"):
         eng.fd_constraint(cid)
     assert [eng.fd_constraint(c).name for c in (first, second)] == ["lt", "ne"]
-
-
-def test_duplicate_def_domain_rejected():
-    eng = Engine()
-    d1 = eng.new_iset()
-    d2 = eng.new_iset()
-    v = eng.new_fd_variable(d1)
-    with pytest.raises(ValueError):
-        eng.def_domain(v, d2)
 
 
 def test_new_variable_over_an_unknown_iset_leaves_no_variable():

@@ -350,3 +350,35 @@ def test_an_acquisition_at_an_exhausted_node_that_contradicts_is_undone():
     assert eng.isets.trail is None
     assert calls == [dv]
     assert eng.acquisitions == [(dv, v, 3), (dv, v, 3)]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "CHANGES.md FOUND on _find_or_acquire: during label() a seek whose other "
+    "variable is bound keeps acquiring into that variable's open domain"))
+def test_no_seek_acquisition_targets_a_bound_variable():
+    # random_open_engine seed 8, the first of 7 seeds in 0-1999 that show it.
+    eng = Engine()
+    d0 = eng.new_iset([4], name="d0")
+    eng.register_source(d0, ScriptedSource([2]))
+    d1 = eng.new_iset([2, 4], name="d1")
+    eng.register_source(d1, ScriptedSource([1, 5, 3]))
+    x0 = eng.new_fd_variable(d0, name="x0")
+    x1 = eng.new_fd_variable(d1, name="x1")
+    for name, args in (("ge", [x1, x0]), ("ge", [x0, x1]), ("eq", [x1, x0]),
+                       ("ne", [x0, x1])):
+        eng.post_fd_constraint(name, args)
+    assert eng.solve() is True
+    assert eng.present(x0) == eng.present(x1) == [4, 2]
+    bound_seeks = []
+    acquire = eng.acquire
+
+    def spy(iset, *, requesting_var=None, requesting_constraint=None):
+        if (requesting_constraint is not None
+                and eng.variable(requesting_var).bound_to is not None):
+            bound_seeks.append((iset, requesting_var, requesting_constraint))
+        return acquire(iset, requesting_var=requesting_var,
+                       requesting_constraint=requesting_constraint)
+
+    eng.acquire = spy
+    assert eng.label([x0, x1]) is None
+    assert bound_seeks == []

@@ -22,17 +22,13 @@ from icsp import (
 
 def test_link_with_empty_domain_has_no_candidates():
     eng = Engine()
-    d = eng.new_iset()
-    v = eng.new_fd_variable()
-    eng.def_domain(v, d)
+    v = eng.new_fd_variable(eng.new_iset())
     assert list(eng.variable(v).candidates) == []
 
 
 def test_link_replays_known_elements():
     eng = Engine()
-    d = eng.new_iset([1, 2])
-    v = eng.new_fd_variable()
-    eng.def_domain(v, d)
+    v = eng.new_fd_variable(eng.new_iset([1, 2]))
     assert list(eng.variable(v).candidates) == [1, 2]
 
 
