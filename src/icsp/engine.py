@@ -33,7 +33,12 @@ from .acquisition import AcquisitionContext, AcquisitionSource
 from .errors import Inconsistency, SourceContractError
 from .fd import (
     ALLOWED_TRANSITIONS,
+    CANDIDATE,
+    OBSERVED,
+    PRESENT,
+    REMOVED,
     SEARCH_TRANSITIONS,
+    UNKNOWN,
     FdConstraint,
     FdVariable,
     PairState,
@@ -43,6 +48,12 @@ from .fd import (
 from .isets import Element, IsetConstraint, IsetStore, is_element
 
 _SEARCH_ALLOWED = ALLOWED_TRANSITIONS | SEARCH_TRANSITIONS
+
+# The variable's list that each state but unknown names, and the trace tag
+# of a move into that state.
+_PLACES = {CANDIDATE: "candidates", OBSERVED: "observed", PRESENT: "present",
+           REMOVED: "removed"}
+_TAGS = {CANDIDATE: "CANDIDATE", OBSERVED: "OBSERVE", PRESENT: "PRESENT", REMOVED: "REMOVE"}
 
 
 def _first_support(verify, element: Element, k: int, pool: Iterable) -> "Element | None":
@@ -172,8 +183,8 @@ class Engine:
         return list(self._fd_constraints)
 
     def _enqueue(self, var: FdVariable, element: Element) -> None:
-        if var.state(element) is PairState.UNKNOWN:
-            self._move(var, element, PairState.CANDIDATE)
+        if var.state(element) is UNKNOWN:
+            self._move(var, element, CANDIDATE)
 
     # ------------------------------------------------------------------
     # acquisition
@@ -272,8 +283,9 @@ class Engine:
         over a closed definition domain is a wipe-out.
 
         Pairs still observed on entry belong to a check that an exception
-        interrupted: they are checked again from the start and flushed
-        before any candidate is taken up.
+        interrupted: they are checked again from the start, in the order
+        graph.nodes lists them, and flushed before any candidate is taken
+        up. A listed pair that is no longer observed is skipped.
         """
         self.propagate_isets()
         for vid, element in list(self.graph.nodes):
@@ -286,9 +298,9 @@ class Engine:
                 if var.bound_to is not None:
                     # A search decision already fixed this variable; late
                     # arrivals contradict it and are discarded as removed.
-                    self._move(var, element, PairState.REMOVED)
+                    self._move(var, element, REMOVED)
                     continue
-                self._move(var, element, PairState.OBSERVED)
+                self._move(var, element, OBSERVED)
                 self._check_candidate(var, element)
                 self._flush_graph()
                 continue
@@ -326,13 +338,13 @@ class Engine:
         order of a recursive check, which fixes the trace. A cascade may
         remove a pair whose frame is still waiting; the state guard detects
         that."""
-        observed, variables = PairState.OBSERVED, self.variables
+        variables = self.variables
         constraints = self._fd_constraints
         stack = [(var, element, iter(var.arcs))]
         while stack:
             var, element, arcs = stack[-1]
             arc = next(arcs, None)
-            if arc is None or var.states.get(element) is not observed:
+            if arc is None or var.states.get(element) is not OBSERVED:
                 stack.pop()
                 continue
             newly = self._seek_support(var, element, arc)
@@ -341,7 +353,7 @@ class Engine:
                 continue
             stack.pop()
             dependents = self.graph.dependents((var.id, element))
-            self._move(var, element, PairState.REMOVED)
+            self._move(var, element, REMOVED)
             stack.extend((variables[d], x, iter((constraints[cid].arcs[d],)))
                          for (d, x), cid in reversed(dependents))
 
@@ -364,16 +376,16 @@ class Engine:
         support = self._find_or_acquire(element, arc)
         if support is None:
             return None
-        supporters = [
-            (w, x) for w, x in zip(others, support)
-            if self.variables[w].state(x) is not PairState.PRESENT
-        ]
-        newly, name = [], self._fd_constraints[cid].name
-        for w, x in supporters:
+        supporters, newly, name = [], [], self._fd_constraints[cid].name
+        for w, x in zip(others, support):
             wvar = self.variables[w]
-            if wvar.state(x) is PairState.CANDIDATE:
-                self._move(wvar, x, PairState.OBSERVED)
+            state = wvar.states[x]
+            if state is PRESENT:
+                continue
+            if state is CANDIDATE:
+                self._move(wvar, x, OBSERVED)
                 newly.append((wvar, x))
+            supporters.append((w, x))
             self.trace.append(
                 ("RELY", (var.name, element), (wvar.name, x), name)
             )
@@ -405,7 +417,7 @@ class Engine:
             wvar = self.variables[others[0]]
             bound = wvar.bound_to is not None  # supports only with its present value
             pools = ((wvar.present,) if bound else
-                     (wvar.present, self.graph.observed_elements(wvar.id), wvar.candidates))
+                     (wvar.present, wvar.observed, wvar.candidates))
             for pool in pools:
                 x = _first_support(constraint.verify, element, k, pool)
                 if x is not None:
@@ -448,8 +460,7 @@ class Engine:
                 # A bound variable may only support with its committed value.
                 pools.append(list(wvar.present))
             else:
-                pools.append([*wvar.present, *self.graph.observed_elements(w),
-                              *wvar.candidates])
+                pools.append([*wvar.present, *wvar.observed, *wvar.candidates])
         return pools
 
     def _find_tuple(self, element: Element, arc: tuple, pools: list,
@@ -483,11 +494,16 @@ class Engine:
         return None
 
     def _flush_graph(self) -> None:
-        """Promote every surviving observed pair to present and clear the
-        graph; the batch was verified mutually supported, and presents
-        never revert during propagation, so the supports stay valid."""
-        for vid, element in list(self.graph.nodes):
-            self._move(self.variables[vid], element, PairState.PRESENT)
+        """Promote every surviving observed pair to present, in the order
+        graph.nodes lists them, and clear the graph; a listed pair that is
+        no longer observed was removed, and is skipped. The batch was
+        verified mutually supported, and presents never revert during
+        propagation, so the supports stay valid."""
+        variables = self.variables
+        for vid, element in self.graph.nodes:
+            var = variables[vid]
+            if var.states[element] is OBSERVED:
+                self._move(var, element, PRESENT)
         self.graph.clear()
 
     def _move(self, var: FdVariable, element: Element, new: PairState) -> None:
@@ -495,16 +511,16 @@ class Engine:
         where a pair changes state.
 
         The move is checked against the transitions permitted in the
-        current phase, which fixes the state each branch below leaves. The
-        phase is search, which permits more, while search keeps a trail,
-        and for a variable that a successful label() left bound. The
-        element leaves the list of its old state (source) and joins the end
-        of that of the new one (target); an observed pair sits in the
-        support graph instead of a list, and leaves it either by removal
-        here or by the flush that clears the whole graph. The transition
-        log and the trace get one entry each, and in search the trail gets
-        the record that _unmove undoes the move with."""
-        old = var.states.get(element, PairState.UNKNOWN)
+        current phase. The phase is search, which permits more, while
+        search keeps a trail, and for a variable that a successful label()
+        left bound. The element leaves the list of its old state (source;
+        an unknown pair is in none) and joins the end of that of the new
+        one (target), each found through _PLACES. The support graph is
+        touched twice only: a newly observed pair is appended to its
+        nodes, and a pair removed while observed loses its arcs. The
+        transition log and the trace get one entry each, and in search the
+        trail gets the record that _unmove undoes the move with."""
+        old = var.states.get(element, UNKNOWN)
         trail = self.isets.trail
         if trail is None and var.bound_to is None:
             phase, allowed = "prop", ALLOWED_TRANSITIONS
@@ -515,45 +531,36 @@ class Engine:
                 f"illegal {phase} transition {old.value}->{new.value} "
                 f"for ({var.name},{element!r})"
             )
-        source = target = None
-        if new is PairState.CANDIDATE:  # from unknown
-            target, tag = var.candidates, "CANDIDATE"
-        elif new is PairState.OBSERVED:  # from candidate
-            source, tag = var.candidates, "OBSERVE"
-            self.graph.add_node((var.id, element))
-        elif new is PairState.PRESENT:  # from observed; the flush clears the graph
-            target, tag = var.present, "PRESENT"
-        else:  # removed: from observed, or in search from candidate or present
-            if old is PairState.OBSERVED:
-                self.graph.remove_node((var.id, element))
-            else:
-                source = var.candidates if old is PairState.CANDIDATE else var.present
-            target, tag = var.removed, "REMOVE"
-        index = None
-        if source is not None:
+        if old is UNKNOWN:
+            source = index = None
+        else:
+            source = getattr(var, _PLACES[old])
             index = source.index(element)
             del source[index]
-        if target is not None:
-            target.append(element)
+        target = getattr(var, _PLACES[new])
+        target.append(element)
+        if new is OBSERVED:
+            self.graph.nodes.append((var.id, element))
+        elif old is OBSERVED and new is REMOVED:
+            self.graph.remove_arcs((var.id, element))
         var.states[element] = new
         if trail is not None:
             trail.append((self._unmove, var, element, old, source, index, target))
         self.transitions.append((var.id, element, old, new, phase))
-        self.trace.append((tag, var.name, element))
+        self.trace.append((_TAGS[new], var.name, element))
 
     @staticmethod
     def _unmove(var: FdVariable, element: Element, old: PairState,
                 source, index, target) -> None:
         """Undo one _move, the latest one not yet undone: the element
         leaves the end of its target list and returns to its index in its
-        source list. The support graph is cleared after undoing instead."""
-        if target is not None:
-            target.pop()
-        if source is not None:
-            source.insert(index, element)
-        if old is PairState.UNKNOWN:
+        source list, or to no list when it was unknown. The support graph
+        is cleared after undoing instead (see _restore)."""
+        target.pop()
+        if source is None:
             del var.states[element]
         else:
+            source.insert(index, element)
             var.states[element] = old
 
     # ------------------------------------------------------------------
@@ -649,7 +656,7 @@ class Engine:
 
     def _bind(self, var: FdVariable, value: Element) -> None:
         for e in [*(e for e in var.present if e != value), *var.candidates]:
-            self._move(var, e, PairState.REMOVED)
+            self._move(var, e, REMOVED)
         self.isets.trail.append((setattr, var, "bound_to", var.bound_to))
         var.bound_to = value
         self._revise([var])
@@ -684,7 +691,7 @@ class Engine:
         change no residue. Arcs over three or more distinct variables are
         always revised: one of their other variables may have changed, and
         revising them later, at its pop, would reorder the removals."""
-        variables, present = self.variables, PairState.PRESENT
+        variables = self.variables
         constraints = self._fd_constraints
         work = deque(v.id for v in seeds)
         seen: dict = {}  # var id -> len(removed) at its previous pop
@@ -709,17 +716,17 @@ class Engine:
                     for e in list(wvar.present):
                         residue = residues.get(e)
                         if binary:
-                            if residue is not None and vstates.get(residue) is present:
+                            if residue is not None and vstates.get(residue) is PRESENT:
                                 continue
                             support = _first_support(verify, e, k, vpresent)
                         else:
                             if residue is not None and all(
-                                    state.get(x) is present
+                                    state.get(x) is PRESENT
                                     for state, x in zip(states, residue)):
                                 continue
                             support = self._find_tuple(e, arc, pools)
                         if support is None:
-                            self._move(wvar, e, PairState.REMOVED)
+                            self._move(wvar, e, REMOVED)
                             work.append(w)
                         else:
                             residues[e] = support

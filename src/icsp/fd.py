@@ -1,20 +1,21 @@
 """Finite-domain variables, n-ary constraints, and the support graph.
 
 A variable does not own a classical domain. It ranges over an iset (its
-definition domain) and keeps three disjoint element lists of its own:
+definition domain) and keeps four disjoint element lists of its own:
 present (proven usable, the known part of its current domain), removed
 (proven inconsistent; they stay in the definition domain but are never
-tried again), and candidates (waiting to be checked). The current domain
-is always the definition domain minus the removed values.
+tried again), candidates (waiting to be checked) and observed (under check
+now). The current domain is always the definition domain minus the
+removed values.
 
 Every (variable, element) pair moves through a small state machine; the
 transitions permitted during propagation are exactly the four listed in
 ALLOWED_TRANSITIONS, and search may also remove candidate and present
-values (SEARCH_TRANSITIONS). The engine makes every move in one routine,
-which checks it against these tables, moves the element from the list of
-its old state to that of its new one (observed pairs live in the
-SupportGraph instead) and logs it, tagged with its phase. A pair's state
-and the place that holds its element therefore never disagree.
+values (SEARCH_TRANSITIONS). Every state but unknown names one of the
+variable's lists. The engine makes every move in one routine, which checks
+it against these tables, moves the element from the list of its old state
+to that of its new one and logs it, tagged with its phase. A pair's state
+and the list that holds its element therefore never disagree.
 """
 
 from __future__ import annotations
@@ -39,17 +40,20 @@ class PairState(Enum):
     __hash__ = object.__hash__
 
 
+# The members by name: a module global is read faster than an Enum attribute.
+UNKNOWN, CANDIDATE, OBSERVED, PRESENT, REMOVED = PairState
+
 ALLOWED_TRANSITIONS = {
-    (PairState.UNKNOWN, PairState.CANDIDATE),    # element entered the definition domain
-    (PairState.CANDIDATE, PairState.OBSERVED),   # chosen as seed or as a supporter
-    (PairState.OBSERVED, PairState.PRESENT),     # graph flush
-    (PairState.OBSERVED, PairState.REMOVED),     # no support found
+    (UNKNOWN, CANDIDATE),    # element entered the definition domain
+    (CANDIDATE, OBSERVED),   # chosen as seed or as a supporter
+    (OBSERVED, PRESENT),     # graph flush
+    (OBSERVED, REMOVED),     # no support found
 }
 
 # Additional moves allowed only while a search decision is active.
 SEARCH_TRANSITIONS = {
-    (PairState.PRESENT, PairState.REMOVED),
-    (PairState.CANDIDATE, PairState.REMOVED),
+    (PRESENT, REMOVED),
+    (CANDIDATE, REMOVED),
 }
 
 
@@ -61,9 +65,11 @@ class FdVariable:
         # Engine.new_fd_variable).
         self.def_domain: "int | None" = None
         self.domain: "Iset | None" = None
+        # One list per state but unknown, named after it: see engine._PLACES.
         self.present: list = []
         self.removed: list = []
         self.candidates: deque = deque()
+        self.observed: list = []
         self.states: dict = {}
         # One arc per constraint on this variable, in posting order: the
         # one that constraint's arcs hold for it.
@@ -72,7 +78,7 @@ class FdVariable:
         self.bound_to: "Element | None" = None
 
     def state(self, element: Element) -> PairState:
-        return self.states.get(element, PairState.UNKNOWN)
+        return self.states.get(element, UNKNOWN)
 
     def __repr__(self):
         return f"FdVariable({self.name})"
@@ -131,36 +137,29 @@ class FdConstraint:
 
 
 class SupportGraph:
-    """Observed (variable, element) pairs plus who-relies-on-whom arcs.
+    """The batch of observed pairs under check, and who relies on whom.
+
+    nodes lists the (variable id, element) pairs observed since the graph
+    was last cleared, in the order they were observed; a pair removed
+    while observed stays listed, so a walk over nodes skips every pair
+    whose state is no longer observed. Each variable's own observed list
+    holds its observed elements (see FdVariable).
 
     An arc (p, q, c) records that p's satisfaction of constraint c depends
     on q. Supporters that are already present are never recorded: a present
     element is known to be supported, so losing nothing can invalidate it.
 
     Arcs are indexed both ways, by supported pair and constraint and by
-    supporter, and observed elements are kept per variable, so re-seeking a
-    support, removing a node and building a supporter pool touch only the
-    entries concerned instead of scanning the whole graph. Both indexes are
+    supporter, so re-seeking a support and removing a pair touch only the
+    arcs concerned instead of scanning the whole graph. Both indexes are
     insertion-ordered: dependents come back in the order their arcs were
     recorded, which fixes the order of cascaded re-seeks.
     """
 
     def __init__(self):
-        self.nodes: dict = {}        # insertion-ordered set of (var id, element)
-        self._observed: dict = {}    # var id -> its observed elements, in order
+        self.nodes: list = []        # (var id, element), in the order observed
         self._supporters: dict = {}  # supported pair -> {cid: tuple of supporters}
         self._dependents: dict = {}  # supporter -> ordered set of (supported pair, cid)
-
-    def add_node(self, pair) -> None:
-        if pair not in self.nodes:
-            self.nodes[pair] = None
-            vid, element = pair
-            self._observed.setdefault(vid, []).append(element)
-
-    def observed_elements(self, vid: int) -> list:
-        """The variable's observed elements, in the order they were
-        observed: the graph's own list, for reading only."""
-        return self._observed.get(vid, [])
 
     def set_supporters(self, supported, cid: int, supporters) -> None:
         """Record that `supported` relies on exactly `supporters` for cid,
@@ -181,11 +180,8 @@ class SupportGraph:
         """Pairs (dependent pair, constraint id) that rely on `supporter`."""
         return list(self._dependents.get(supporter, ()))
 
-    def remove_node(self, pair) -> None:
-        if pair in self.nodes:
-            del self.nodes[pair]
-            vid, element = pair
-            self._observed[vid].remove(element)
+    def remove_arcs(self, pair) -> None:
+        """Drop every arc from or to the pair."""
         for cid, supporters in self._supporters.pop(pair, {}).items():
             for supporter in supporters:
                 del self._dependents[supporter][(pair, cid)]
@@ -195,7 +191,6 @@ class SupportGraph:
 
     def clear(self) -> None:
         self.nodes.clear()
-        self._observed.clear()
         self._supporters.clear()
         self._dependents.clear()
 

@@ -46,21 +46,21 @@ def engine_kac_holds(engine):
 
 def pair_place_errors(engine):
     """Where each pair sits, against its recorded state. Every element with a
-    state must be in exactly one of its variable's present, removed and
-    candidate lists or among the support graph's observed pairs, the place
-    its state names, and no list may repeat an element."""
+    state must be in exactly one of its variable's present, removed,
+    candidate and observed lists, the one its state names, and no list may
+    repeat an element. The support graph's nodes must list every observed
+    pair exactly once, in its variable's observed order."""
     errors = []
-    observed = {}
-    for vid, element in engine.graph.nodes:
-        observed.setdefault(vid, []).append(element)
     for var in engine.variables:
-        if engine.graph.observed_elements(var.id) != observed.get(var.id, []):
-            errors.append(f"{var.name}: graph indexes disagree on its observed pairs")
+        listed = [x for vid, x in engine.graph.nodes
+                  if vid == var.id and var.state(x) is PairState.OBSERVED]
+        if listed != var.observed:
+            errors.append(f"{var.name}: graph nodes list its observed pairs as {listed}")
         places = {
             PairState.PRESENT: var.present,
             PairState.REMOVED: var.removed,
             PairState.CANDIDATE: list(var.candidates),
-            PairState.OBSERVED: observed.get(var.id, []),
+            PairState.OBSERVED: var.observed,
         }
         where = {}
         for state, elements in places.items():
@@ -78,9 +78,9 @@ def pair_place_errors(engine):
 
 def engine_state(engine):
     """A full copy of everything search must restore when it backtracks:
-    each variable's present, removed and candidate lists in order, its pair
-    states and its binding; each iset's known part in order and its open
-    flag; each Union's pending list; and each ScriptedSource's virtual
+    each variable's present, removed, candidate and observed lists in order,
+    its pair states and its binding; each iset's known part in order and its
+    open flag; each Union's pending list; and each ScriptedSource's virtual
     position: the elements it has served, less those waiting on the iset's
     replay queue to be served again. A restore keeps the replies it undoes
     for replay, so the virtual position is where a source rewound by the
@@ -88,8 +88,8 @@ def engine_state(engine):
     undo trail is checked against it."""
     store = engine.isets
     return (
-        [(list(v.present), list(v.removed), list(v.candidates), dict(v.states),
-          v.bound_to) for v in engine.variables],
+        [(list(v.present), list(v.removed), list(v.candidates), list(v.observed),
+          dict(v.states), v.bound_to) for v in engine.variables],
         [(list(s.known), s.open) for s in store._isets],
         [list(c.pending) for c in dict.fromkeys(c for cs in store._on_inserted for c in cs)
          if isinstance(c, Union)],

@@ -10,7 +10,7 @@ import pytest
 from icsp import (Engine, Inclusion, Inconsistency, Intersection, IsetStore, PairState,
                   ScriptedSource, resolve_verifier)
 
-from instances import audit_transitions, engine_kac_holds
+from instances import audit_transitions, engine_kac_holds, pair_place_errors
 from icsp.oracle import ClosedCsp, ac3
 
 
@@ -270,7 +270,7 @@ def test_support_by_observed_records_arc():
 def test_flush_clears_graph_and_promotes():
     eng, _isets, (x, _y, z) = golden_engine()
     eng.solve()
-    assert eng.graph.nodes == {}
+    assert eng.graph.nodes == []
     assert eng.graph._supporters == {} and eng.graph._dependents == {}
     assert eng.variable(x).state(1) is PairState.PRESENT
     assert eng.variable(z).state(2) is PairState.PRESENT
@@ -352,8 +352,9 @@ def test_transition_log_is_clean_across_scenarios():
 
 def test_pair_stranded_by_a_raising_verifier_is_checked_by_the_next_solve():
     # The verifier raises while x=3 is under check, which leaves the pair
-    # observed in the support graph. The next solve() must finish that
-    # check (3 has no larger y) instead of promoting the pair unverified.
+    # observed, in x's observed list and in the graph's nodes. The next
+    # solve() must finish that check (3 has no larger y) instead of
+    # promoting the pair unverified.
     eng = Engine()
     x = eng.new_fd_variable(eng.new_iset([1, 2, 3], open=False, name="dx"), name="x")
     y = eng.new_fd_variable(eng.new_iset([1, 2, 3], open=False, name="dy"), name="y")
@@ -369,11 +370,14 @@ def test_pair_stranded_by_a_raising_verifier_is_checked_by_the_next_solve():
     with pytest.raises(TypeError):
         eng.solve()
     assert eng.variable(x).state(3) is PairState.OBSERVED
+    assert eng.variable(x).observed == [3]
+    assert (x, 3) in eng.graph.nodes
+    assert pair_place_errors(eng) == []
     assert eng.solve() is True
     assert engine_kac_holds(eng)
     assert eng.present(x) == [1, 2] and eng.removed(x) == [3]
     assert eng.present(y) == [2, 3] and eng.removed(y) == [1]
-    assert eng.graph.nodes == {}
+    assert eng.graph.nodes == []
 
 
 def test_a_contradiction_found_by_solve_is_final():
