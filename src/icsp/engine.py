@@ -158,9 +158,9 @@ class Engine:
         against later constraints.
 
         Each variable gets the constraint's arc for it, in posting order.
-        Support seeking walks the arcs on a variable; revise walks, from a
-        variable that lost values, the arcs of the same constraints towards
-        the other variables.
+        Support seeking walks the arcs on a variable. Each variable also
+        gets, on its revise list, the arcs of the constraint's other
+        variables: the arcs that revise walks from it when it loses values.
         """
         for vid in args:
             self.variable(vid)
@@ -170,8 +170,15 @@ class Engine:
             raise ValueError(f"verifier for {name} is not callable: {verifier!r}")
         constraint = FdConstraint(len(self._fd_constraints), name, args, verifier)
         self._fd_constraints.append(constraint)
-        for w, arc in constraint.arcs.items():
-            self.variables[w].arcs.append(arc)
+        arcs = constraint.arcs
+        for w, arc in arcs.items():
+            var = self.variables[w]
+            var.arcs.append(arc)
+            for u, other in arcs.items():
+                if u != w:
+                    var.revise.append(other)
+            if len(arcs) > 2:
+                var.revise_nary = True
         return constraint.id
 
     def fd_constraint(self, cid: int) -> FdConstraint:
@@ -516,8 +523,8 @@ class Engine:
         left bound. The element leaves the list of its old state (source;
         an unknown pair is in none) and joins the end of that of the new
         one (target), each found through _PLACES. The support graph is
-        touched twice only: a newly observed pair is appended to its
-        nodes, and a pair removed while observed loses its arcs. The
+        touched only to append a newly observed pair to its nodes; a pair
+        removed while observed keeps its arcs (see SupportGraph). The
         transition log and the trace get one entry each, and in search the
         trail gets the record that _unmove undoes the move with."""
         old = var.states.get(element, UNKNOWN)
@@ -541,8 +548,6 @@ class Engine:
         target.append(element)
         if new is OBSERVED:
             self.graph.nodes.append((var.id, element))
-        elif old is OBSERVED and new is REMOVED:
-            self.graph.remove_arcs((var.id, element))
         var.states[element] = new
         if trail is not None:
             trail.append((self._unmove, var, element, old, source, index, target))
@@ -667,14 +672,15 @@ class Engine:
         support died when a search decision narrowed some variable.
 
         A work queue holds variables that lost values, one entry per loss.
-        Popping v revises every arc (c, w) with c a constraint on v and w
-        another of its variables: each present value of w keeps a support
-        of present values of c's other variables, or is removed and queues
-        w. Each check first tries the value's residue on the arc, the
-        support found last time: while all of its values are still present
-        it proves the value supported without a search. Residues need no
-        undo when search backtracks; a stale one fails the present test and
-        the search runs as before.
+        Popping v revises the arcs on v's revise list, built at posting:
+        every arc (c, w) with c a constraint on v and w another of its
+        variables, constraint by constraint in posting order. Each present
+        value of w keeps a support of present values of c's other
+        variables, or is removed and queues w. Each check first tries the
+        value's residue on the arc, the support found last time: while all
+        of its values are still present it proves the value supported
+        without a search. Residues need no undo when search backtracks; a
+        stale one fails the present test and the search runs as before.
 
         A binary arc over two distinct variables tests its residue, the one
         supporting element of the popped variable, against that variable's
@@ -690,7 +696,10 @@ class Engine:
         have been removed since, so the revision would remove nothing and
         change no residue. Arcs over three or more distinct variables are
         always revised: one of their other variables may have changed, and
-        revising them later, at its pop, would reorder the removals."""
+        revising them later, at its pop, would reorder the removals. A
+        variable with no such arc on its revise list (revise_nary unset)
+        would skip every arc, so a pop that finds it unchanged is skipped
+        whole."""
         variables = self.variables
         constraints = self._fd_constraints
         work = deque(v.id for v in seeds)
@@ -700,36 +709,38 @@ class Engine:
             vvar = variables[vid]
             lost = len(vvar.removed)
             unchanged = seen.get(vid) == lost
+            if unchanged and not vvar.revise_nary:
+                continue
             seen[vid] = lost
             vstates, vpresent = vvar.states, vvar.present
-            for cid, _, _, _, _, _ in vvar.arcs:
-                verify = constraints[cid].verify
-                for arc in constraints[cid].arcs.values():
-                    _, w, others, residues, k, spread = arc
-                    if w == vid or (unchanged and len(others) == 1):
-                        continue
-                    wvar = variables[w]
-                    binary = spread is None and len(others) == 1
-                    if not binary:  # removing w's values leaves these unchanged
-                        states = [variables[u].states for u in others]
-                        pools = [variables[u].present for u in others]
-                    for e in list(wvar.present):
-                        residue = residues.get(e)
-                        if binary:
-                            if residue is not None and vstates.get(residue) is PRESENT:
-                                continue
-                            support = _first_support(verify, e, k, vpresent)
-                        else:
-                            if residue is not None and all(
-                                    state.get(x) is PRESENT
-                                    for state, x in zip(states, residue)):
-                                continue
-                            support = self._find_tuple(e, arc, pools)
-                        if support is None:
-                            self._move(wvar, e, REMOVED)
-                            work.append(w)
-                        else:
-                            residues[e] = support
+            for arc in vvar.revise:
+                cid, w, others, residues, k, spread = arc
+                if unchanged and len(others) == 1:
+                    continue
+                wvar = variables[w]
+                binary = spread is None and len(others) == 1
+                if binary:
+                    verify = constraints[cid].verify
+                else:  # removing w's values leaves these unchanged
+                    states = [variables[u].states for u in others]
+                    pools = [variables[u].present for u in others]
+                for e in list(wvar.present):
+                    residue = residues.get(e)
+                    if binary:
+                        if residue is not None and vstates.get(residue) is PRESENT:
+                            continue
+                        support = _first_support(verify, e, k, vpresent)
+                    else:
+                        if residue is not None and all(
+                                state.get(x) is PRESENT
+                                for state, x in zip(states, residue)):
+                            continue
+                        support = self._find_tuple(e, arc, pools)
+                    if support is None:
+                        self._move(wvar, e, REMOVED)
+                        work.append(w)
+                    else:
+                        residues[e] = support
 
     # ------------------------------------------------------------------
     # snapshots (search only; taken at quiescence)

@@ -74,6 +74,14 @@ class FdVariable:
         # One arc per constraint on this variable, in posting order: the
         # one that constraint's arcs hold for it.
         self.arcs: list = []
+        # The arcs that revise walks when this variable loses values: for
+        # each constraint on it, in posting order, the arcs of the
+        # constraint's other distinct variables, in its arcs order.
+        # revise_nary is set once one of them has two or more other
+        # variables; without such an arc, a pop that finds the variable
+        # unchanged is skipped whole (see Engine._revise).
+        self.revise: list = []
+        self.revise_nary = False
         # Set while search has committed this variable to a single value.
         self.bound_to: "Element | None" = None
 
@@ -150,10 +158,15 @@ class SupportGraph:
     element is known to be supported, so losing nothing can invalidate it.
 
     Arcs are indexed both ways, by supported pair and constraint and by
-    supporter, so re-seeking a support and removing a pair touch only the
-    arcs concerned instead of scanning the whole graph. Both indexes are
-    insertion-ordered: dependents come back in the order their arcs were
-    recorded, which fixes the order of cascaded re-seeks.
+    supporter, so re-seeking a support and finding the pairs that relied
+    on a removed one touch only the arcs concerned instead of scanning the
+    whole graph. Both indexes are insertion-ordered: dependents come back
+    in the order their arcs were recorded, which fixes the order of
+    cascaded re-seeks. A removed pair keeps its arcs until the graph is
+    cleared. No pool offers it, so nothing comes to rely on it again, and
+    when a pair it relied on is removed in turn, the frame pushed for it
+    is popped at once by the check's state guard (see
+    Engine._check_candidate).
     """
 
     def __init__(self):
@@ -179,15 +192,6 @@ class SupportGraph:
     def dependents(self, supporter) -> list:
         """Pairs (dependent pair, constraint id) that rely on `supporter`."""
         return list(self._dependents.get(supporter, ()))
-
-    def remove_arcs(self, pair) -> None:
-        """Drop every arc from or to the pair."""
-        for cid, supporters in self._supporters.pop(pair, {}).items():
-            for supporter in supporters:
-                del self._dependents[supporter][(pair, cid)]
-        for supported, cid in self._dependents.pop(pair, ()):
-            by_cid = self._supporters[supported]
-            by_cid[cid] = tuple(q for q in by_cid[cid] if q != pair)
 
     def clear(self) -> None:
         self.nodes.clear()

@@ -58,6 +58,23 @@ def test_fewer_than_the_minimum_pairs_judge_no_gain():
     assert row["gain_holds"] is None
 
 
+@pytest.mark.parametrize("better, factor, over", [
+    ("lower", 1.3, True),    # 30% slower, beyond a 0.25 bound
+    ("lower", 1.2, False),   # 20% slower, within it
+    ("lower", 0.5, False),   # faster
+    ("higher", 0.7, True),   # 30% less of a metric that should rise
+    ("higher", 1.3, False),
+])
+def test_the_change_is_over_its_bound_when_its_median_is_worse_by_more(better, factor, over):
+    row = ab_pairs.summarise(PARENT, [p * factor for p in PARENT], better, 0.25)
+    assert row["over_bound"] is over
+
+
+def test_a_metric_without_a_bound_is_never_over_it():
+    row = ab_pairs.summarise(PARENT, [p * 10 for p in PARENT], "lower")
+    assert row["over_bound"] is None
+
+
 def _no_run(*args):
     raise AssertionError("a benchmark run was started")
 
@@ -87,4 +104,21 @@ def test_the_report_says_too_few_pairs_below_the_minimum(monkeypatch, capsys):
                    "--workload", "closed_search", "--seed", "1", "--pairs", "3"])
     row = capsys.readouterr().out.splitlines()[-1]
     assert row.split()[0] == "verdict_s_p50"
-    assert row.endswith(" 3/3  too few pairs")
+    assert row.endswith(" 3/3  too few pairs  no")
+
+
+def test_the_report_says_which_metrics_are_over_their_bound(monkeypatch, capsys, tmp_path):
+    # verdict_s_p50 (bound 0.25) and elements_supplied (bound 0.05) both
+    # rise 10% in every pair; extra is not in BENCHMARK.json.
+    def fake_run(checkout, workload, seed, seconds):
+        value = 11.0 if checkout == REPO else 10.0
+        return {"failed": 0, "metrics": {name: {"value": value} for name in (
+            "verdict_s_p50", "elements_supplied", "extra")}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    ab_pairs.main(["--parent", str(tmp_path), "--change", str(REPO),
+                   "--workload", "closed_search", "--seed", "1", "--pairs", "10"])
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[-3:]}
+    assert rows["verdict_s_p50"].endswith(" 0/10  no             no")
+    assert rows["elements_supplied"].endswith(" 0/10  no             yes")
+    assert rows["extra"].endswith(" 0/10  no             -")

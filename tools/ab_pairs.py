@@ -6,7 +6,8 @@
 Each pair runs `bench/run.py --trace 0` once from each checkout, one after
 the other, and the side that goes first alternates from pair to pair. The
 metrics are read from the last JSON line each run prints, and whether a
-metric is better lower or higher from the change's BENCHMARK.json.
+metric is better lower or higher, and its bound, from the change's
+BENCHMARK.json.
 
 For every metric the script prints each side's median and quartiles over
 its runs and the number of pairs the change won, ties counting for
@@ -14,10 +15,13 @@ neither. A gain holds when the change won at least nine tenths of the
 pairs and the medians differ, in the better direction, by more than the
 distance between the parent's quartiles, and it is judged only from
 MIN_PAIRS pairs or more: with fewer the script says the pairs are too
-few. It also prints each side's `failed` count per run. The workload must
-be one that the change's BENCHMARK.json lists, since each run reports a
-single workload. Child runs are told not to write bytecode, so nothing is
-written under either checkout's bench/.
+few. For a metric that BENCHMARK.json gives a bound, the last column says
+whether the change's median is worse than the parent's by more than that
+bound, a share of the parent's median. It also prints each side's
+`failed` count per run. The workload must be one that the change's
+BENCHMARK.json lists, since each run reports a single workload. Child
+runs are told not to write bytecode, so nothing is written under either
+checkout's bench/.
 """
 
 from __future__ import annotations
@@ -41,10 +45,13 @@ def quartiles(values: list) -> "tuple[float, float, float]":
     return q1, q2, q3
 
 
-def summarise(parent: list, change: list, better: str) -> dict:
+def summarise(parent: list, change: list, better: str,
+              bound: "float | None" = None) -> dict:
     """Compare one metric over pairs: parent[i] and change[i] are the two
     runs of pair i, and better is "lower" or "higher". gain_holds is None
-    when there are fewer than MIN_PAIRS pairs to judge from."""
+    when there are fewer than MIN_PAIRS pairs to judge from. over_bound
+    says whether the change's median is worse than the parent's by more
+    than bound times the parent's median; it is None without a bound."""
     sign = -1 if better == "lower" else 1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p1, p50, p3 = quartiles(parent)
@@ -57,6 +64,7 @@ def summarise(parent: list, change: list, better: str) -> dict:
         "pairs": len(parent),
         "gain_holds": (wins >= 0.9 * len(parent) and gap > p3 - p1
                        if len(parent) >= MIN_PAIRS else None),
+        "over_bound": -gap > bound * abs(p50) if bound is not None else None,
     }
 
 
@@ -74,11 +82,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def declared(checkout: Path) -> "tuple[list, dict]":
-    """The checkout's benchmark workload names, and whether each end-to-end
-    metric is better lower or higher."""
+    """The checkout's benchmark workload names, and each end-to-end
+    metric's declaration by name: whether it is better lower or higher,
+    and its bound."""
     benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
     return ([w["name"] for w in benchmark["workloads"]],
-            {m["name"]: m["better"] for m in benchmark.get("end_to_end", ())})
+            {m["name"]: m for m in benchmark.get("end_to_end", ())})
 
 
 def main(argv=None) -> int:
@@ -91,7 +100,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    workloads, better = declared(sides["change"])
+    workloads, metrics = declared(sides["change"])
     if args.workload not in workloads:
         parser.error(f"--workload must be one of {', '.join(workloads)}")
     runs: dict = {"parent": [], "change": []}
@@ -107,15 +116,17 @@ def main(argv=None) -> int:
     for side in ("parent", "change"):
         print(f"  {side} failed per run: {[run['failed'] for run in runs[side]]}")
     print(f"  {'metric':<18} {'parent q1 / p50 / q3':>36} {'change q1 / p50 / q3':>36}"
-          f"  won  gain holds")
+          f"  won  {'gain holds':<13}  over bound")
     for name in runs["parent"][0]["metrics"]:
+        declaration = metrics.get(name, {})
         row = summarise([r["metrics"][name]["value"] for r in runs["parent"]],
                         [r["metrics"][name]["value"] for r in runs["change"]],
-                        better.get(name, "lower"))
+                        declaration.get("better", "lower"), declaration.get("bound"))
         cells = ["{:.6g} / {:.6g} / {:.6g}".format(*row[side]) for side in ("parent", "change")]
         holds = {True: "yes", False: "no", None: "too few pairs"}[row["gain_holds"]]
+        over = {True: "yes", False: "no", None: "-"}[row["over_bound"]]
         print(f"  {name:<18} {cells[0]:>36} {cells[1]:>36}"
-              f"  {row['wins']:>2}/{row['pairs']}  {holds}")
+              f"  {row['wins']:>2}/{row['pairs']}  {holds:<13}  {over}")
     return 0
 
 
