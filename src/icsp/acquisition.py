@@ -82,10 +82,14 @@ class RangeSource(AcquisitionSource):
 class InteractiveSource(AcquisitionSource):
     """Prompts a text stream for elements.
 
-    A line parsing as an integer or a bare lowercase atom is an element;
-    the literal line "none" (or end of input) means exhausted. Unparsable
-    lines are reported and re-prompted. Each line is read once: a reply
-    that search undoes is replayed by the engine, not asked for again.
+    Prompts go to output_stream, standard error by default, so standard
+    output carries only what the caller writes there (the CLI's trace and
+    result). Replies are read from input_stream, standard input by
+    default. A line parsing as an integer or a bare lowercase atom is an
+    element; the literal line "none" (or end of input) means exhausted.
+    Unparsable lines are reported and re-prompted. Each line is read once:
+    a reply that search undoes is replayed by the engine, not asked for
+    again.
     """
 
     def __init__(self, iset_name: str, input_stream=None, output_stream=None):
@@ -95,7 +99,7 @@ class InteractiveSource(AcquisitionSource):
 
     def next(self, iset, ctx):
         inp = self.input_stream if self.input_stream is not None else sys.stdin
-        out = self.output_stream if self.output_stream is not None else sys.stdout
+        out = self.output_stream if self.output_stream is not None else sys.stderr
         while True:
             who = ctx.var_name if ctx.var_name is not None else "-"
             out.write(f"acquire {self.iset_name} for {who}? ")

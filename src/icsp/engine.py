@@ -120,24 +120,21 @@ class Engine:
     # ------------------------------------------------------------------
     # variables, links, constraints
 
-    def new_fd_variable(self, def_domain: "int | None" = None, *,
-                        name: "str | None" = None) -> int:
-        """Create a variable, linked to its definition domain when one is
-        given; this is the only way a variable gets one.
+    def new_fd_variable(self, def_domain: int, *, name: "str | None" = None) -> int:
+        """Create a variable ranging over the iset def_domain, its
+        definition domain, which every variable has and gets only here.
 
         The variable keeps the iset's id in def_domain and its Iset record
         in domain. Elements already known to the iset become candidates
-        immediately. An unknown iset raises before the variable exists."""
-        domain = self.isets._get(def_domain) if def_domain is not None else None
+        immediately. An unknown iset raises ValueError before the variable
+        exists."""
+        domain = self.isets._get(def_domain)
         vid = len(self.variables)
-        var = FdVariable(vid, name or f"v{vid}")
+        var = FdVariable(vid, name or f"v{vid}", domain)
         self.variables.append(var)
-        if domain is not None:
-            var.domain = domain
-            var.def_domain = domain.id
-            self._links.setdefault(domain.id, []).append(vid)
-            for element in list(domain.known):
-                self._enqueue(var, element)
+        self._links.setdefault(domain.id, []).append(vid)
+        for element in list(domain.known):
+            self._enqueue(var, element)
         return vid
 
     def variable(self, vid: int) -> FdVariable:
@@ -285,9 +282,11 @@ class Engine:
         Loop: while any variable has candidates, seed the support graph with
         the first candidate of the first such variable (creation order),
         check it to completion and flush the graph. With no candidates left,
-        a variable with an empty present list and an open definition domain
-        gets one element acquired. Quiescence with an empty present list
-        over a closed definition domain is a wipe-out.
+        the first variable with an empty present list that is unbound and
+        whose definition domain is open gets one element acquired. With no
+        such variable, the first with an empty present list is a
+        contradiction: its search value was eliminated if it is bound, and
+        its definition domain, closed, is wiped out if not.
 
         Pairs still observed on entry belong to a check that an exception
         interrupted: they are checked again from the start, in the order
@@ -311,24 +310,17 @@ class Engine:
                 self._check_candidate(var, element)
                 self._flush_graph()
                 continue
-            needy = next((v for v in self.variables
-                          if not v.present and v.bound_to is None and self._open(v)),
-                         None)
+            empty = [v for v in self.variables if not v.present]
+            needy = next((v for v in empty if v.bound_to is None and v.domain.open), None)
             if needy is not None:
                 self.acquire(needy.def_domain, requesting_var=needy.id)
                 continue
-            for v in self.variables:
-                if v.present:
-                    continue
-                if v.bound_to is not None:
-                    raise Inconsistency(f"search value for {v.name} was eliminated")
-                if v.def_domain is not None:  # closed, or v would be needy
-                    raise Inconsistency(f"domain wipe-out for {v.name}")
-            return
-
-    def _open(self, var: FdVariable) -> bool:
-        """Whether the variable's definition domain can still grow."""
-        return var.domain is not None and var.domain.open
+            if not empty:
+                return
+            v = empty[0]
+            if v.bound_to is not None:
+                raise Inconsistency(f"search value for {v.name} was eliminated")
+            raise Inconsistency(f"domain wipe-out for {v.name}")
 
     def _check_candidate(self, var: FdVariable, element: Element) -> None:
         """Seek support for an observed pair against every constraint on its
@@ -429,7 +421,7 @@ class Engine:
                 x = _first_support(constraint.verify, element, k, pool)
                 if x is not None:
                     return (x,)
-            while self._open(wvar):
+            while wvar.domain.open:
                 start = len(wvar.candidates)
                 self.acquire(wvar.def_domain, requesting_var=wvar.id,
                              requesting_constraint=constraint.name)
@@ -447,7 +439,7 @@ class Engine:
                 return support
             for w in others:
                 target = self.variables[w]
-                if self._open(target):
+                if target.domain.open:
                     break
             else:
                 return None
@@ -643,7 +635,7 @@ class Engine:
                 stack.append((mark, tried))
                 tried = set()
                 continue
-            if self._open(var):
+            if var.domain.open:
                 mark = self._snapshot()
                 try:
                     self.acquire(var.def_domain, requesting_var=var.id)

@@ -1,7 +1,8 @@
 """Finite-domain variables, n-ary constraints, and the support graph.
 
-A variable does not own a classical domain. It ranges over an iset (its
-definition domain) and keeps four disjoint element lists of its own:
+A variable does not own a classical domain. It ranges over an iset, its
+definition domain, which it is given when it is created (the X :: S of a
+two-sorted CLP program), and keeps four disjoint element lists of its own:
 present (proven usable, the known part of its current domain), removed
 (proven inconsistent; they stay in the definition domain but are never
 tried again), candidates (waiting to be checked) and observed (under check
@@ -58,13 +59,13 @@ SEARCH_TRANSITIONS = {
 
 
 class FdVariable:
-    def __init__(self, vid: int, name: str):
+    def __init__(self, vid: int, name: str, domain: Iset):
         self.id = vid
         self.name = name
-        # The definition domain's iset id, and its Iset record (see
-        # Engine.new_fd_variable).
-        self.def_domain: "int | None" = None
-        self.domain: "Iset | None" = None
+        # The definition domain, which every variable has: its Iset record,
+        # and its iset id (see Engine.new_fd_variable).
+        self.domain = domain
+        self.def_domain = domain.id
         # One list per state but unknown, named after it: see engine._PLACES.
         self.present: list = []
         self.removed: list = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Sequence
 
 from .engine import Engine
@@ -58,19 +59,12 @@ def _supported(domains: dict, key, value, args: Sequence, verifier: Callable) ->
     """Does some assignment over the current domains of the other variables
     satisfy the constraint with `value` at every occurrence of `key`?"""
     others = [w for w in _distinct(args) if w != key]
-    assignment: dict = {}
-
-    def extend(i: int) -> bool:
-        if i == len(others):
-            return bool(verifier([value if a == key else assignment[a] for a in args]))
-        w = others[i]
-        for x in domains[w]:
-            assignment[w] = x
-            if extend(i + 1):
-                return True
-        return False
-
-    return extend(0)
+    for values in product(*(domains[w] for w in others)):
+        assignment = dict(zip(others, values))
+        assignment[key] = value
+        if verifier([assignment[a] for a in args]):
+            return True
+    return False
 
 
 def _revise(domains: dict, key, constraint: Constraint) -> bool:

@@ -292,8 +292,9 @@ def test_module_entry_point_interactive_stdin(tmp_path):
         env=dict(os.environ, PYTHONPATH=path_var),
     )
     assert proc.returncode == 0
-    assert "DOMAIN v present=[7] removed=[]" in proc.stdout
-    assert "acquire d for v? " in proc.stdout
+    # the prompt goes to standard error, so standard output holds only the result
+    assert proc.stdout == "RESULT consistent\nDOMAIN v present=[7] removed=[]\n"
+    assert proc.stderr == "acquire d for v? "
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +366,7 @@ def test_an_interactive_source_is_built_over_standard_input(monkeypatch, capsys)
     assert code == 1
     assert text == ("RESULT inconsistent\nDOMAIN v present=[] removed=[7]\n"
                     "DOMAIN w present=[] removed=[7]\n")
-    assert capsys.readouterr().out == "acquire d for v? acquire d for w? "
+    assert capsys.readouterr().err == "acquire d for v? acquire d for w? "
 
 
 def test_main_reports_a_repeating_source_with_exit_2(tmp_path, capsys):

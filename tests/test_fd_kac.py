@@ -164,6 +164,8 @@ def test_new_variable_over_an_unknown_iset_leaves_no_variable():
     x = eng.new_fd_variable(eng.new_iset([1, 2], open=False), name="x")
     with pytest.raises(ValueError):
         eng.new_fd_variable(99)
+    with pytest.raises(TypeError):
+        eng.new_fd_variable()  # every variable ranges over an iset
     assert len(eng.variables) == 1
     assert eng.solve() is True
     assert eng.label() == {x: 1}

@@ -567,7 +567,7 @@ def test_draining_resolves_no_ids():
     assert store.trace[-3:] == [("INSERT", "d", 3), ("INSERT", "d", 4), ("CLOSE", "d")]
 
 
-BAD_IDS = [-1, 2, "x", 1.0, True]  # with two isets, 2 is past the end; True is no id
+BAD_IDS = [-1, 2, "x", 1.0, True, None]  # with two isets, 2 is past the end; True, None are no ids
 
 BOUNDARY_CALLS = {
     "name_of": lambda eng, bad: eng.isets.name_of(bad),

@@ -63,6 +63,20 @@ def test_is_known_arc_consistent():
     assert not is_known_arc_consistent({"x": [2], "z": [2]}, [("gt", ["z", "x"], fn)])
 
 
+def test_the_oracle_checks_a_constraint_wider_than_the_recursion_limit():
+    # The oracle alone, no engine: one constraint over 1,200 variables.
+    name = "sum_eq_const:0"
+    keys = [f"v{i}" for i in range(1200)]
+    constraints = [(name, keys, resolve_verifier(name)[2])]
+    domains = {k: [0] for k in keys}
+    assert is_known_arc_consistent(domains, constraints)
+    result = ac3(ClosedCsp(domains, constraints))
+    assert result.consistent and result.domains == domains
+    domains["v0"] = [1]
+    assert not is_known_arc_consistent(domains, constraints)
+    assert ac3(ClosedCsp(domains, constraints)).wiped == "v0"
+
+
 def test_compare_agrees_on_consistent_instance():
     csp = ClosedCsp({"x": [1, 2], "y": [2], "z": [2]}, [("gt", ["z", "x"], GT)])
     verdict = compare_kac_ac(csp)
