@@ -8,9 +8,9 @@ insertion and every closure queues exactly one event, a plain pair:
 posted set constraints (membership, union, intersection, difference,
 inclusion) react to those events until a FIFO fixpoint is reached. Like a
 CHR rule, which wakes only for the constraints matching its head, an event
-reaches only the constraints that declared, through watches(), that their
-handler acts on that argument's insertions or closure. And as a rule
-matches its head once and then works on the constraints it matched,
+reaches only the constraints whose class declares, in INSERTED or CLOSED,
+that their handler acts on that argument's insertions or closure. And as a
+rule matches its head once and then works on the constraints it matched,
 posting resolves a set constraint's arguments to their Iset records once,
 validating each id, and its handlers work on those records from then on
 (see IsetConstraint).
@@ -83,21 +83,17 @@ class Iset:
 class IsetConstraint:
     """Base class for set constraints: reacts to events on its arguments.
 
-    A built-in constraint states its shape once, in three class attributes:
-    ARITY, the number of iset ids it takes, and INSERTED and CLOSED, the
-    positions among them whose insertions reach on_inserted and whose
-    closure reaches on_closed. The constructor takes the ids, in argument
-    order, and raises TypeError for any other count before anything is
-    posted. Nothing else is delivered, so a handler never sees an event for
-    a role it does not act on.
+    A constraint states its shape once, in three class attributes: ARITY,
+    the number of iset ids it takes, and INSERTED and CLOSED, the positions
+    among them whose insertions reach on_inserted and whose closure reaches
+    on_closed. Nothing else is delivered, so a handler never sees an event
+    for a role it does not act on. That shape is the whole contract: a
+    custom constraint declares ARITY, INSERTED and CLOSED and calls
+    super().__init__(*isets), which keeps the ids, in argument order, as
+    self.isets, and raises TypeError for any other count before anything
+    is posted.
 
-    The store reads that shape through two methods, which a subclass may
-    override instead: args() returns the ids of every iset the constraint
-    reads or changes, in argument order, and watches() returns
-    (inserted_args, closed_args), each drawn from args() (post() rejects
-    any other id).
-
-    post() resolves every one of args() to its Iset record once, which
+    post() resolves every one of self.isets to its Iset record once, which
     validates it: an unknown id raises ValueError before anything is
     recorded. It then sets self.sets to the records, in argument order,
     files the constraint under the isets it watches, and replays their
@@ -124,23 +120,15 @@ class IsetConstraint:
     """
 
     ARITY = 0
-    INSERTED: tuple = ()  # positions in args()
+    INSERTED: tuple = ()  # positions in self.isets
     CLOSED: tuple = ()
-    isets: tuple = ()  # the iset ids, in argument order
-    sets: tuple = ()  # the Iset records of args(), set by IsetStore.post
+    sets: tuple = ()  # the Iset records of self.isets, set by IsetStore.post
 
     def __init__(self, *isets: int):
         if len(isets) != self.ARITY:
             raise TypeError(f"{type(self).__name__} takes {self.ARITY} iset ids, "
                             f"got {len(isets)}")
-        self.isets = isets
-
-    def args(self) -> tuple:
-        return self.isets
-
-    def watches(self) -> tuple:
-        isets = self.isets
-        return [isets[p] for p in self.INSERTED], [isets[p] for p in self.CLOSED]
+        self.isets = isets  # the iset ids, in argument order
 
     def on_inserted(self, store: "IsetStore", iset: int, element: Element) -> None:
         pass
@@ -152,7 +140,7 @@ class IsetConstraint:
         """Called once by post(), after the replay."""
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(f's{i}' for i in self.args())})"
+        return f"{type(self).__name__}({', '.join(f's{i}' for i in self.isets)})"
 
 
 class Member(IsetConstraint):
@@ -322,7 +310,7 @@ class IsetStore:
 
     Each iset has two lists of constraints, in posting order:
     _on_inserted[i] holds those watching i's insertions and _on_closed[i]
-    those watching its closure (see IsetConstraint.watches).
+    those watching its closure (see IsetConstraint).
 
     The public methods take iset ids and raise ValueError for an unknown
     one before they change anything; _get is that check, and post() runs
@@ -435,19 +423,19 @@ class IsetStore:
     # constraints and propagation
 
     def post(self, constraint: IsetConstraint) -> None:
-        """Resolve the constraint's arguments to their records, file it
-        under the isets it watches, replay their history against it and
-        call its activate().
+        """Resolve the constraint's isets to their records, file it under
+        the isets at its INSERTED and CLOSED positions, replay their history
+        against it and call its activate().
 
         The replay hands the handlers every element each watched iset
-        knows, iset by iset in watch order and each in known order, then
-        the closure of each watched iset that is closed, so that posting
-        order is irrelevant. Every argument is validated before anything
-        is recorded."""
-        sets = tuple(map(self._get, constraint.args()))
-        inserted, closed = map(dict.fromkeys, constraint.watches())
-        if not {*inserted, *closed} <= {s.id for s in sets}:
-            raise ValueError(f"{constraint!r} watches an iset outside its args()")
+        knows, iset by iset in position order (an iset repeated among the
+        arguments once) and each in known order, then the closure of each
+        watched iset that is closed, so that posting order is irrelevant.
+        Every argument is validated before anything is recorded."""
+        isets = constraint.isets
+        sets = tuple(map(self._get, isets))
+        inserted = dict.fromkeys(isets[p] for p in constraint.INSERTED)
+        closed = dict.fromkeys(isets[p] for p in constraint.CLOSED)
         constraint.sets = sets
         for i in inserted:
             self._on_inserted[i].append(constraint)

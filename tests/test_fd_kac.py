@@ -382,6 +382,20 @@ def test_pair_stranded_by_a_raising_verifier_is_checked_by_the_next_solve():
     assert eng.graph.nodes == []
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "CHANGES.md FOUND on post_fd_constraint, ROADMAP item 5: a constraint "
+    "posted after solve() never re-checks the present values"))
+def test_a_constraint_posted_after_solve_revises_the_present_values():
+    eng = Engine()
+    a = eng.new_fd_variable(eng.new_iset([1, 2, 3], open=False, name="da"), name="a")
+    b = eng.new_fd_variable(eng.new_iset([1, 2, 3], open=False, name="db"), name="b")
+    assert eng.solve() is True
+    eng.post_fd_constraint("lt", [a, b])
+    assert eng.solve() is True
+    assert engine_kac_holds(eng)
+    assert eng.present(a) == [1, 2] and eng.present(b) == [2, 3]
+
+
 def test_a_contradiction_found_by_solve_is_final():
     # x needs a value, and da's source offers 7 first, which the inclusion
     # forces into the closed db = {5}. Nothing outside search takes 7 back,

@@ -612,23 +612,27 @@ def test_every_public_id_taking_method_rejects_a_bad_id_and_changes_nothing(call
     assert boundary_snapshot(eng) == before
 
 
-def test_post_rejects_a_watched_iset_outside_args_and_records_nothing():
+class Stray(IsetConstraint):
+    ARITY, INSERTED = 1, (0, 1)  # position 1 names no argument
+
+
+class Unnamed(IsetConstraint):
+    ARITY, INSERTED = 1, (0,)
+
+    def __init__(self, a):  # skips IsetConstraint.__init__, so keeps no isets
+        self.a = a
+
+
+@pytest.mark.parametrize("kind, error", [(Stray, IndexError), (Unnamed, AttributeError)])
+def test_post_rejects_a_malformed_constraint_and_records_nothing(kind, error):
     store = IsetStore()
     a = store.new_iset([1])
-    b = store.new_iset()
-
-    class Stray(IsetConstraint):
-        def args(self):
-            return (a,)
-
-        def watches(self):
-            return (a, b), ()
-
-    stray = Stray()
-    with pytest.raises(ValueError):
-        store.post(stray)
+    store.new_iset()
+    constraint = kind(a)
+    with pytest.raises(error):
+        store.post(constraint)
     assert store._on_inserted == [[], []] and store._on_closed == [[], []]
-    assert stray.sets == ()
+    assert constraint.sets == ()
 
 
 class Doubled(IsetConstraint):
@@ -636,15 +640,11 @@ class Doubled(IsetConstraint):
     against the documented contract alone. It keeps its own list of the
     elements it forwarded, with an undo record for each addition."""
 
+    ARITY, INSERTED, CLOSED = 2, (0,), (0,)
+
     def __init__(self, a, b):
-        self.a, self.b = a, b
+        super().__init__(a, b)
         self.forwarded = []
-
-    def args(self):
-        return self.a, self.b
-
-    def watches(self):
-        return (self.a,), (self.a,)
 
     def on_inserted(self, store, iset, element):
         _, b = self.sets
@@ -719,23 +719,11 @@ def test_built_in_set_constraints_print_their_arguments_and_check_their_count():
         Inclusion(0, 1, 2)
 
 
-def test_posting_asks_a_constraint_for_its_arguments_and_watches_once():
-    calls = []
-
-    class Counted(Union):
-        def args(self):
-            calls.append("args")
-            return super().args()
-
-        def watches(self):
-            calls.append("watches")
-            return super().watches()
-
+def test_posting_replays_the_watched_history_in_position_order():
     store = IsetStore()
     a = store.new_iset([1], open=False)
     b = store.new_iset([2])
     c = store.new_iset([2])
-    store.post(Counted(a, b, c))
-    assert sorted(calls) == ["args", "watches"]
+    store.post(Union(a, b, c))
     store.fixpoint()
     assert store.known_in_order(c) == [2, 1]
