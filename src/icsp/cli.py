@@ -64,7 +64,6 @@ class ProblemFile:
 
     directives: list = field(default_factory=list)
     labeling: bool = False
-    var_names: list = field(default_factory=list)
 
 
 # The set-constraint kinds that take only iset names, and the source kinds;
@@ -135,7 +134,6 @@ def parse(text: str) -> ProblemFile:
             name, iset = _match(_VAR_RE, line, "var <name> :: <iset>", lineno)
             _declare(variables, "var", name, lineno)
             _need(isets, "iset", [iset], lineno)
-            problem.var_names.append(name)
             problem.directives.append(("var", name, iset))
         elif head == "fdc":
             if len(tokens) < 2:
@@ -195,7 +193,7 @@ def parse(text: str) -> ProblemFile:
     return problem
 
 
-def build(problem: ProblemFile) -> "tuple[Engine, dict]":
+def build(problem: ProblemFile) -> Engine:
     """Construct an engine from parsed directives, in file order.
 
     A set constraint whose posting derives a contradiction does not stop
@@ -227,7 +225,7 @@ def build(problem: ProblemFile) -> "tuple[Engine, dict]":
         elif tag == "source":
             _, iset, kind, source_args = directive
             engine.register_source(iset_ids[iset], _SOURCES[kind](*source_args))
-    return engine, var_ids
+    return engine
 
 
 def format_trace_entry(entry) -> str:
@@ -252,21 +250,21 @@ def _domain_line(name, present, removed) -> str:
     return f"DOMAIN {name} present=[{fmt(present)}] removed=[{fmt(removed)}]"
 
 
-def run(problem: ProblemFile, *, trace: bool = False, label_override: bool = False,
-        out=None) -> int:
-    """Build, propagate, optionally label, and report. Returns the exit code."""
+def run(problem: ProblemFile, *, trace: bool = False, out=None) -> int:
+    """Build, propagate, label if problem.labeling is set, and report: one
+    DOMAIN line per declared variable, in declaration order. Returns the
+    exit code."""
     out = out if out is not None else sys.stdout
-    engine, var_ids = build(problem)
+    engine = build(problem)
     consistent = engine.solve()
-    if consistent and (problem.labeling or label_override):
-        consistent = engine.label([var_ids[n] for n in problem.var_names]) is not None
+    if consistent and problem.labeling:
+        consistent = engine.label() is not None
     if trace:
         for entry in engine.trace:
             out.write(format_trace_entry(entry) + "\n")
     out.write(f"RESULT {'consistent' if consistent else 'inconsistent'}\n")
-    for name in problem.var_names:
-        vid = var_ids[name]
-        out.write(_domain_line(name, engine.present(vid), engine.removed(vid)) + "\n")
+    for var in engine.variables:
+        out.write(_domain_line(var.name, var.present, var.removed) + "\n")
     return 0 if consistent else 1
 
 
@@ -286,8 +284,9 @@ def main(argv=None) -> int:
     except (OSError, ProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    problem.labeling = problem.labeling or args.label
     try:
-        return run(problem, trace=args.trace, label_override=args.label)
+        return run(problem, trace=args.trace)
     except SourceContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

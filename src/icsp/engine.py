@@ -74,8 +74,8 @@ def _first_support(verify, element: Element, k: int, pool: Iterable) -> "Element
 
 class Engine:
     def __init__(self):
-        self.trace: list = []
-        self.isets = IsetStore(trace=self.trace)
+        self.isets = IsetStore()
+        self.trace = self.isets.trace
         self.variables: list[FdVariable] = []
         self.graph = SupportGraph()
         # (var id, element, from, to, phase) with phase "prop" or "search"
@@ -401,9 +401,10 @@ class Engine:
 
         Resuming is exact: an acquisition only appends candidates to the
         pools, so every tuple of old elements already failed, and the next
-        pass verifies only tuples holding a newly appended element (after
-        an exhausted reply, none). Its first success is the tuple a full
-        re-enumeration would reach first.
+        pass verifies only tuples holding, at some position, an element
+        newly appended to that position's pool (after an exhausted reply,
+        none). Its first success is the tuple a full re-enumeration would
+        reach first.
 
         A binary arc over two distinct variables scans its other variable's
         present, observed and candidate lists in place, one after the
@@ -446,7 +447,7 @@ class Engine:
             self.acquire(target.def_domain, requesting_var=target.id,
                          requesting_constraint=constraint.name)
             grown = self._pools(others)
-            fresh = {x for pool, longer in zip(pools, grown) for x in longer[len(pool):]}
+            fresh = [set(longer[len(pool):]) for pool, longer in zip(pools, grown)]
             pools = grown
 
     def _pools(self, others: tuple) -> list:
@@ -463,14 +464,15 @@ class Engine:
         return pools
 
     def _find_tuple(self, element: Element, arc: tuple, pools: list,
-                    fresh: "set | None" = None) -> "tuple | None":
+                    fresh: "list | None" = None) -> "tuple | None":
         """First satisfying assignment of the arc's others in lexicographic
         order over their pools, the element fixed at every occurrence of
         the arc's variable, for an arc with a repeated argument or with two
         or more other variables (binary arcs over two distinct variables go
         through _first_support). Returns the elements ordered as the
-        others, or None. With fresh given, only tuples holding at least one
-        of its elements are verified.
+        others, or None. fresh, when given, holds one set per other, the
+        elements newly appended to its pool; only tuples with such an
+        element at its own position are verified.
 
         Each ground list is built once, in argument order, for the one
         verify call it goes to: the element is inserted at its position k
@@ -478,12 +480,12 @@ class Engine:
         are spread over the arguments. The constraint's verify is read at
         the start of every call and called directly, so a function put in
         its place after posting receives every test."""
-        if fresh is not None and not fresh:
+        if fresh is not None and not any(fresh):
             return None
         cid, _, _, _, k, spread = arc
         verify = self._fd_constraints[cid].verify
         for support in product(*pools):
-            if fresh is not None and fresh.isdisjoint(support):
+            if fresh is not None and not any(map(set.__contains__, fresh, support)):
                 continue
             values = [*support[:k], element, *support[k:]]
             if spread is not None:
@@ -587,9 +589,10 @@ class Engine:
         engine is back in the state the search started from; only the logs
         and the replay queues keep what happened. When a variable runs out
         of present values and its definition domain is still open, one more
-        element is acquired before giving up on the node. An undone acquisition keeps its reply
-        for the next acquire on its iset (see acquire), so each source is
-        asked once per reply however often search backtracks.
+        element is acquired before giving up on the node. An undone
+        acquisition keeps its reply for the next acquire on its iset (see
+        acquire), so each source is asked once per reply however often
+        search backtracks.
 
         A variable already bound, by an earlier successful label(), keeps
         its value. Returns {var id: element} or None when the search space

@@ -327,13 +327,14 @@ class IsetStore:
     nothing is recorded.
     """
 
-    def __init__(self, trace: "list | None" = None):
+    def __init__(self):
         self._isets: list[Iset] = []
         self._on_inserted: list[list[IsetConstraint]] = []
         self._on_closed: list[list[IsetConstraint]] = []
         self.queue: deque = deque()  # (iset, element), or (iset, None) for a closure
-        # Shared, append-only event trace (the engine passes its own list in).
-        self.trace = trace if trace is not None else []
+        # The event trace: the store appends INSERT and CLOSE, and the engine
+        # that owns the store, as Engine.trace, every other entry.
+        self.trace: list = []
         self.trail: "list | None" = None
 
     # ------------------------------------------------------------------

@@ -217,7 +217,9 @@ def run_iset_instance(instance, shuffle_rng=None, trace=None):
     ("fail",) or ("ok", known parts, closure flags) at the final fixpoint.
     With trace given, the store appends its INSERT and CLOSE entries to it."""
     sets, constraints, insertions = instance
-    store = IsetStore(trace)
+    store = IsetStore()
+    if trace is not None:
+        store.trace = trace
     ids = [store.new_iset(init, open=is_open) for init, is_open in sets]
     steps = [("post", spec) for spec in constraints]
     steps += [("insert", ins) for ins in insertions]

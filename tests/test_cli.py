@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import icsp
-from icsp.cli import ProblemError, main, parse, run
+from icsp.cli import ProblemError, format_trace_entry, main, parse, run
 
 GOLDEN_PROBLEM = """\
 iset dx open {}
@@ -86,7 +86,7 @@ def test_parse_golden_problem():
     problem = parse(GOLDEN_PROBLEM)
     tags = [d[0] for d in problem.directives]
     assert tags == ["iset"] * 3 + ["var"] * 3 + ["isetc", "fdc", "source", "source"]
-    assert problem.var_names == ["x", "y", "z"]
+    assert [d[1] for d in problem.directives if d[0] == "var"] == ["x", "y", "z"]
 
 
 def test_parse_elements_and_comments():
@@ -232,11 +232,19 @@ def test_labeling_option_binds_every_variable():
     assert "DOMAIN u present=[4]" in text
 
 
-def test_label_flag_overrides_file_option():
-    text_off = run_text("iset d closed {3,4}\nvar v :: d\n")[1]
-    text_on = run_text("iset d closed {3,4}\nvar v :: d\n", label_override=True)[1]
-    assert "present=[3,4]" in text_off
-    assert "present=[3]" in text_on
+def test_label_flag_overrides_file_option(tmp_path, capsys):
+    path = tmp_path / "unlabelled.icsp"
+    path.write_text("iset d closed {3,4}\nvar v :: d\noption labeling off\n",
+                    encoding="utf-8")
+    assert main([str(path)]) == 0
+    assert "present=[3,4]" in capsys.readouterr().out
+    assert main([str(path), "--label"]) == 0
+    assert "present=[3]" in capsys.readouterr().out
+
+
+def test_an_unknown_trace_tag_is_rejected():
+    with pytest.raises(ValueError, match="unknown trace entry"):
+        format_trace_entry(("BIND", "x", 1))
 
 
 def test_sum_constraint_via_cli():

@@ -29,7 +29,7 @@ CALLS = ("verify", "source", "label_nodes", "restores", "set_handler_calls")
 
 PINNED = {
     "lazy_chain": ("7ac69343144b91de487dd896193ef253ed3899be09fa23fa895ced3d99bcefe8",
-                   [3003, 514, 0, 0, 0]),
+                   [2985, 514, 0, 0, 0]),
     "closed_search": ("25bd389084f48d0b7dabca08b9a39ab35b36fb574a7c730136eeeadfa3dd3a7e",
                       [33327, 0, 236, 104, 0]),
     "set_network": ("1a798ca6841f7a53182795e2cea950900b788fd220029c2ed7f63dbaec8df221",

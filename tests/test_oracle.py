@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import icsp.oracle
 from icsp import resolve_verifier
 from icsp.oracle import ClosedCsp, ac3, compare_kac_ac, is_known_arc_consistent
 
@@ -87,6 +88,26 @@ def test_compare_agrees_on_inconsistent_instance():
     csp = ClosedCsp({"x": [2], "z": [2]}, [("gt", ["z", "x"], GT)])
     verdict = compare_kac_ac(csp)
     assert verdict.agree and verdict.engine_failed and verdict.ac_wiped
+
+
+def test_compare_reports_an_engine_failure_on_a_satisfiable_instance(monkeypatch):
+    monkeypatch.setattr(icsp.oracle, "run_engine_on", lambda csp: (True, None))
+    csp = ClosedCsp({"x": [1], "z": [2]}, [("gt", ["z", "x"], GT)])
+    verdict = compare_kac_ac(csp)
+    assert verdict.agree is False
+    assert verdict.engine_failed and not verdict.ac_wiped
+    assert verdict.report == "engine_failed=True but ac_wiped=False (wiped var: None)"
+
+
+def test_compare_reports_present_sets_that_are_not_arc_consistent(monkeypatch):
+    presents = {"x": [1, 2], "z": [2]}  # x = 2 has no z above it
+    monkeypatch.setattr(icsp.oracle, "run_engine_on", lambda csp: (False, presents))
+    csp = ClosedCsp({"x": [1, 2], "z": [2]}, [("gt", ["z", "x"], GT)])
+    verdict = compare_kac_ac(csp)
+    assert verdict.agree is False
+    assert not verdict.engine_failed and not verdict.ac_wiped
+    assert verdict.report == ("engine sub-domains not arc-consistent: "
+                              "{'x': [1, 2], 'z': [2]}")
 
 
 def test_compare_random_smoke():

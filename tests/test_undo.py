@@ -70,6 +70,14 @@ def label_audited(engine, variables=None):
     return result, audit
 
 
+def test_a_snapshot_with_an_event_still_queued_is_refused():
+    engine = Engine()
+    iset = engine.new_iset([1])
+    engine.isets.ensure_member(iset, 2)  # queued, not drained
+    with pytest.raises(AssertionError, match="quiescent"):
+        engine._snapshot()
+
+
 def test_restores_are_exact_on_random_closed_csps():
     undone: Counter = Counter()
     for seed in range(400):

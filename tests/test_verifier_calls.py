@@ -5,13 +5,15 @@ argument position in turn: binary [x, y] (both arcs of a binary
 constraint), the repeated layouts [a, a, b], [a, b, a] and [b, a, a], a
 ternary sum_eq_const, and seeded random instances. Several of them seek
 over an open domain, so a seek resumes after an acquisition and verifies
-only tuples that hold a fresh element.
+only tuples that hold, at some position, an element newly appended to that
+position's pool.
 
 The call-sequence digest covers every list passed to a verifier, in order,
-with its constraint, plus each instance's outcome. It was taken before the
-engine built its tuples per arc, and pins the enumeration order and the
-fresh filter beyond what the pinned traces see: a tuple verified in vain
-leaves no trace entry.
+with its constraint, plus each instance's outcome. It pins the enumeration
+order and the tuples a resumed seek skips beyond what the pinned traces
+see: a tuple verified in vain leaves no trace entry. It was last taken when
+the skip became per position, which dropped six repeated calls of ternary
+and changed no outcome.
 """
 
 import hashlib
@@ -146,7 +148,26 @@ def test_verifier_call_sequence_is_pinned():
         outcome, calls = recorded_calls(build)
         assert calls, name
         total.update(repr((name, outcome, calls)).encode())
-    assert total.hexdigest()[:16] == "153187e93ab92ac7"
+    assert total.hexdigest()[:16] == "3bed3c4b085c4c1d"
+
+
+def test_a_resumed_seek_skips_tuples_whose_values_are_new_only_elsewhere():
+    # x's seek fails on (0, 5, 1) and acquires 5 into z. The 5 is new to
+    # z's pool, not y's, so the resumed pass skips (0, 5, 1), whose y = 5 is
+    # old, and verifies only tuples whose z is new.
+    engine = Engine()
+    x = closed(engine, "x", [0])
+    y = closed(engine, "y", [5])
+    z = scripted(engine, "z", [1], [5, 14])
+    constraint = engine.fd_constraint(engine.post_fd_constraint("sum_eq_const:19", [x, y, z]))
+    calls, verify = [], constraint.verify
+    constraint.verify = lambda values: calls.append(tuple(values)) or verify(values)
+    assert engine.solve() is True
+    assert calls == [
+        (0, 5, 1), (0, 5, 5), (0, 5, 14),  # x: z acquires 5, then 14
+        (0, 5, 14), (0, 5, 14),  # y and z find x's tuple
+        (0, 5, 1), (0, 5, 5),  # z's 1 and 5 fail and are removed
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))

@@ -27,7 +27,7 @@ _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def _docstring_lines(tree: ast.AST) -> set:
+def docstring_lines(tree: ast.AST) -> set:
     """The line numbers that docstrings span."""
     lines = set()
     for node in ast.walk(tree):
@@ -43,7 +43,7 @@ def _docstring_lines(tree: ast.AST) -> set:
 
 def code_lines(source: str) -> int:
     """The number of code lines in one module's source text."""
-    docstrings = _docstring_lines(ast.parse(source))
+    docstrings = docstring_lines(ast.parse(source))
     lines = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type in _NOT_CODE or token.start[0] in docstrings:

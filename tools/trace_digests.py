@@ -52,59 +52,39 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
 
     engines = []
 
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
     def new_engine():
         engine = Engine()
         post_fd_constraint = engine.post_fd_constraint
+        register_source = engine.register_source
+        isets = engine.isets
+        post = isets.post
 
         def post_counted(*args, **kwargs):
             cid = post_fd_constraint(*args, **kwargs)
             constraint = engine.fd_constraint(cid)
-            verify = constraint.verify
-
-            def counted(values):
-                calls["verify"] += 1
-                return verify(values)
-
-            constraint.verify = counted
+            constraint.verify = counting("verify", constraint.verify)
             return cid
 
-        register_source = engine.register_source
-
         def register_counted(iset, source):
-            next_ = source.next
-
-            def counted(*args):
-                calls["source"] += 1
-                return next_(*args)
-
-            source.next = counted
+            source.next = counting("source", source.next)
             register_source(iset, source)
-
-        isets = engine.isets
-        get_state, set_state, post = isets.get_state, isets.set_state, isets.post
-
-        def get_counted():
-            calls["label_nodes"] += 1
-            return get_state()
-
-        def set_counted(mark):
-            calls["restores"] += 1
-            set_state(mark)
 
         def post_set_counted(constraint):
             for name in ("on_inserted", "on_closed"):
-                handler = getattr(constraint, name)
-
-                def counted(*args, handler=handler):
-                    calls["set_handler_calls"] += 1
-                    return handler(*args)
-
-                setattr(constraint, name, counted)
+                setattr(constraint, name,
+                        counting("set_handler_calls", getattr(constraint, name)))
             post(constraint)
 
         engine.post_fd_constraint = post_counted
         engine.register_source = register_counted
-        isets.get_state, isets.set_state = get_counted, set_counted
+        isets.get_state = counting("label_nodes", isets.get_state)
+        isets.set_state = counting("restores", isets.set_state)
         isets.post = post_set_counted
         engines.append(engine)
         return engine
