@@ -1,19 +1,18 @@
 """List the statement lines of src/icsp that the test suite never runs.
 
-    python3 tools/line_coverage.py               # the whole tests/ directory
-    python3 tools/line_coverage.py -- -k oracle  # arguments passed to pytest
+    python3 tools/line_coverage.py
 
-pytest runs in this process under a sys.settrace hook. The hook traces
-only frames whose code lives in a file under src/icsp, so the rest of the
-suite, and every subprocess a test starts, runs untraced. Then, module by
-module in path order, each statement that never ran is printed as its
-first line, `<line number> <text>`, and at the end the total. Docstrings
-are not statements here. The exit code is pytest's. Stdlib plus pytest.
+pytest runs the tests/ directory in this process under a sys.settrace
+hook. The hook traces only frames whose code lives in a file under
+src/icsp, so the rest of the suite, and every subprocess a test starts,
+runs untraced. Then, module by module in path order, each statement
+that never ran is printed as its first line, `<line number> <text>`, and
+at the end the total. Docstrings are not statements here. The exit code
+is pytest's. Stdlib plus pytest.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import sys
@@ -40,25 +39,16 @@ def trace_lines(directory: Path, run) -> "tuple[object, dict]":
     numbers}."""
     prefix = os.path.join(Path(directory).resolve(), "")
     executed: defaultdict = defaultdict(set)
-    tracers: dict = {}  # code object -> its frames' line tracer, or None
 
-    def tracer_for(code):
-        if not code.co_filename.startswith(prefix):
-            return None
-        lines = executed[code.co_filename]
-
-        def trace_line(frame, event, _arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return trace_line
-
+    def trace_line(frame, event, _arg):
+        if event == "line":
+            executed[frame.f_code.co_filename].add(frame.f_lineno)
         return trace_line
 
     def trace_call(frame, _event, _arg):
-        code = frame.f_code
-        if code not in tracers:
-            tracers[code] = tracer_for(code)
-        return tracers[code]
+        if frame.f_code.co_filename.startswith(prefix):
+            return trace_line
+        return None
 
     previous = sys.gettrace()  # a traced run may call this again
     sys.settrace(trace_call)
@@ -87,16 +77,12 @@ def report(directory: Path, executed: dict, out=None) -> int:
     return total
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("pytest_args", nargs="*",
-                        help="arguments for pytest (default: the tests directory)")
-    args = parser.parse_args(argv)
+def main() -> int:
     import pytest
 
     sys.path.insert(0, str(SOURCE.parent))
     code, executed = trace_lines(SOURCE, lambda: pytest.main(
-        ["-q", "-p", "no:cacheprovider", *(args.pytest_args or [str(ROOT / "tests")])]))
+        ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]))
     report(SOURCE, executed)
     return int(code)
 
