@@ -18,7 +18,9 @@ are signed integers or bare lowercase atoms. <cname> is one of the built-in
 verifiers (lt, le, gt, ge, eq, ne, sum_eq_const:<k>); arbitrary verifiers
 are a library-only feature.
 
-Exit codes: 0 consistent, 1 inconsistent, 2 usage or parse error.
+Exit codes: 0 consistent, 1 inconsistent, 2 an error: a usage or parse
+error, a problem file that cannot be read as UTF-8 text, or a source that
+breaks its contract (SourceContractError).
 """
 
 from __future__ import annotations
@@ -281,7 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         problem = parse(Path(args.problem).read_text(encoding="utf-8"))
-    except (OSError, ProblemError) as exc:
+    except (OSError, UnicodeDecodeError, ProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     problem.labeling = problem.labeling or args.label

@@ -167,12 +167,16 @@ class Engine:
             raise ValueError(f"verifier for {name} is not callable: {verifier!r}")
         constraint = FdConstraint(len(self._fd_constraints), name, args, verifier)
         self._fd_constraints.append(constraint)
-        arcs = constraint.arcs
-        for w, arc in arcs.items():
-            var = self.variables[w]
+        distinct = tuple(dict.fromkeys(args))
+        spread = (None if len(distinct) == len(args)
+                  else tuple(map(distinct.index, args)))
+        arcs = [(constraint, w, distinct[:k] + distinct[k + 1:], {}, k, spread)
+                for k, w in enumerate(distinct)]
+        for arc in arcs:
+            var = self.variables[arc[1]]
             var.arcs.append(arc)
-            for u, other in arcs.items():
-                if u != w:
+            for other in arcs:
+                if other is not arc:
                     var.revise.append(other)
             if len(arcs) > 2:
                 var.revise_nary = True
@@ -338,7 +342,6 @@ class Engine:
         remove a pair whose frame is still waiting; the state guard detects
         that."""
         variables = self.variables
-        constraints = self._fd_constraints
         stack = [(var, element, iter(var.arcs))]
         while stack:
             var, element, arcs = stack[-1]
@@ -353,8 +356,8 @@ class Engine:
             stack.pop()
             dependents = self.graph.dependents((var.id, element))
             self._move(var, element, REMOVED)
-            stack.extend((variables[d], x, iter((constraints[cid].arcs[d],)))
-                         for (d, x), cid in reversed(dependents))
+            stack.extend((variables[d], x, iter((arc,)))
+                         for (d, x), arc in reversed(dependents))
 
     def _seek_support(self, var: FdVariable, element: Element,
                       arc: tuple) -> "list | None":
@@ -371,11 +374,11 @@ class Engine:
         reaches a tuple mixing present and observed values first (possible
         from arity 3), and the reliance arcs and RELY entries would change.
         """
-        cid, _, others, _, _, _ = arc
+        constraint, _, others, _, _, _ = arc
         support = self._find_or_acquire(element, arc)
         if support is None:
             return None
-        supporters, newly, name = [], [], self._fd_constraints[cid].name
+        supporters, newly, name = [], [], constraint.name
         for w, x in zip(others, support):
             wvar = self.variables[w]
             state = wvar.states[x]
@@ -388,7 +391,7 @@ class Engine:
             self.trace.append(
                 ("RELY", (var.name, element), (wvar.name, x), name)
             )
-        self.graph.set_supporters((var.id, element), cid, supporters)
+        self.graph.set_supporters((var.id, element), arc, supporters)
         return newly
 
     def _find_or_acquire(self, element: Element, arc: tuple) -> "tuple | None":
@@ -411,8 +414,7 @@ class Engine:
         other, and after an acquisition the candidates appended since it
         began. Any other arc enumerates copied pools through _find_tuple.
         """
-        cid, _, others, _, k, spread = arc
-        constraint = self._fd_constraints[cid]
+        constraint, _, others, _, k, spread = arc
         if spread is None and len(others) == 1:
             wvar = self.variables[others[0]]
             bound = wvar.bound_to is not None  # supports only with its present value
@@ -482,8 +484,8 @@ class Engine:
         its place after posting receives every test."""
         if fresh is not None and not any(fresh):
             return None
-        cid, _, _, _, k, spread = arc
-        verify = self._fd_constraints[cid].verify
+        constraint, _, _, _, k, spread = arc
+        verify = constraint.verify
         for support in product(*pools):
             if fresh is not None and not any(map(set.__contains__, fresh, support)):
                 continue
@@ -696,7 +698,6 @@ class Engine:
         would skip every arc, so a pop that finds it unchanged is skipped
         whole."""
         variables = self.variables
-        constraints = self._fd_constraints
         work = deque(v.id for v in seeds)
         seen: dict = {}  # var id -> len(removed) at its previous pop
         while work:
@@ -709,13 +710,13 @@ class Engine:
             seen[vid] = lost
             vstates, vpresent = vvar.states, vvar.present
             for arc in vvar.revise:
-                cid, w, others, residues, k, spread = arc
+                constraint, w, others, residues, k, spread = arc
                 if unchanged and len(others) == 1:
                     continue
                 wvar = variables[w]
                 binary = spread is None and len(others) == 1
                 if binary:
-                    verify = constraints[cid].verify
+                    verify = constraint.verify
                 else:  # removing w's values leaves these unchanged
                     states = [variables[u].states for u in others]
                     pools = [variables[u].present for u in others]

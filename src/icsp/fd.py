@@ -72,12 +72,12 @@ class FdVariable:
         self.candidates: deque = deque()
         self.observed: list = []
         self.states: dict = {}
-        # One arc per constraint on this variable, in posting order: the
-        # one that constraint's arcs hold for it.
+        # One arc per constraint on this variable, in posting order, the
+        # only holder of that arc (see FdConstraint).
         self.arcs: list = []
         # The arcs that revise walks when this variable loses values: for
         # each constraint on it, in posting order, the arcs of the
-        # constraint's other distinct variables, in its arcs order.
+        # constraint's other distinct variables, in argument order.
         # revise_nary is set once one of them has two or more other
         # variables; without such an arc, a pop that finds the variable
         # unchanged is skipped whole (see Engine._revise).
@@ -105,23 +105,23 @@ class FdConstraint:
     The engine reads constraint.verify at every support search, so a
     function put in its place, even after posting, receives every test.
 
-    arcs maps each distinct argument variable's id to its arc, the tuple
-    (cid, w, others, residues, k, spread) for variable w. cid is the
-    constraint's id: an arc names its constraint by id, not by reference,
-    so a constraint and its arcs form no reference cycle and a dropped
-    engine is freed at once, without the cycle collector. others holds the
-    other distinct argument variables, the ones a support for a value of w
-    must assign, in the order of every support tuple. residues maps a value
-    of w to the all-present support that search's revise found for it
-    last: the supporting element itself on an arc over two distinct
-    variables, the support tuple on any other. It is a hint, sound to reuse
-    while every value in it is still present, so it needs no undo when
-    search backtracks. k is w's position among the distinct arguments,
-    where a value of w is inserted into a support, and spread maps each
-    argument to its position among the distinct arguments, None when no
-    argument repeats: together they lay out a ground tuple without
-    searching the arguments (see engine._first_support and
-    Engine._find_tuple).
+    Posting gives each distinct argument variable w one arc, the tuple
+    (constraint, w, others, residues, k, spread), which w holds on its arcs
+    list and each other variable on its revise list (see FdVariable). The
+    constraint holds no arcs, so a constraint and its arcs form no
+    reference cycle and a dropped engine is freed at once, without the
+    cycle collector. others holds the other distinct argument variables,
+    the ones a support for a value of w must assign, in the order of every
+    support tuple. residues maps a value of w to the all-present support
+    that search's revise found for it last: the supporting element itself
+    on an arc over two distinct variables, the support tuple on any other.
+    It is a hint, sound to reuse while every value in it is still present,
+    so it needs no undo when search backtracks. k is w's position among the
+    distinct arguments, where a value of w is inserted into a support, and
+    spread maps each argument to its position among the distinct
+    arguments, None when no argument repeats: together they lay out a
+    ground tuple without searching the arguments (see
+    engine._first_support and Engine._find_tuple).
     Arcs are plain tuples because posting builds one per argument, and a
     class instance costs several times as much to create.
     """
@@ -134,12 +134,6 @@ class FdConstraint:
         self.name = name
         self.args = list(args)
         self.verify = verify
-        distinct = tuple(dict.fromkeys(self.args))
-        spread = (None if len(distinct) == len(self.args)
-                  else tuple(map(distinct.index, self.args)))
-        self.arcs: "dict[int, tuple]" = {}
-        for k, w in enumerate(distinct):
-            self.arcs[w] = (cid, w, distinct[:k] + distinct[k + 1:], {}, k, spread)
 
     def __repr__(self):
         return f"FdConstraint({self.name}/{len(self.args)})"
@@ -154,45 +148,48 @@ class SupportGraph:
     whose state is no longer observed. Each variable's own observed list
     holds its observed elements (see FdVariable).
 
-    An arc (p, q, c) records that p's satisfaction of constraint c depends
-    on q. Supporters that are already present are never recorded: a present
-    element is known to be supported, so losing nothing can invalidate it.
+    A reliance arc (p, q, c) records that p's satisfaction of constraint c
+    depends on q. Supporters that are already present are never recorded:
+    a present element is known to be supported, so losing nothing can
+    invalidate it. Each reliance arc also keeps c's arc for p's variable,
+    the one its support was found on (see FdConstraint), for re-seeking p
+    on that arc alone when q is removed.
 
-    Arcs are indexed both ways, by supported pair and constraint and by
-    supporter, so re-seeking a support and finding the pairs that relied
-    on a removed one touch only the arcs concerned instead of scanning the
-    whole graph. Both indexes are insertion-ordered: dependents come back
-    in the order their arcs were recorded, which fixes the order of
-    cascaded re-seeks. A removed pair keeps its arcs until the graph is
-    cleared. No pool offers it, so nothing comes to rely on it again, and
-    when a pair it relied on is removed in turn, the frame pushed for it
-    is popped at once by the check's state guard (see
+    Reliance arcs are indexed both ways, by supported pair and constraint
+    and by supporter, so re-seeking a support and finding the pairs that
+    relied on a removed one touch only the arcs concerned instead of
+    scanning the whole graph. Both indexes are insertion-ordered:
+    dependents come back in the order their arcs were recorded, which fixes
+    the order of cascaded re-seeks. A removed pair keeps its arcs until the
+    graph is cleared. No pool offers it, so nothing comes to rely on it
+    again, and when a pair it relied on is removed in turn, the frame
+    pushed for it is popped at once by the check's state guard (see
     Engine._check_candidate).
     """
 
     def __init__(self):
         self.nodes: list = []        # (var id, element), in the order observed
-        self._supporters: dict = {}  # supported pair -> {cid: tuple of supporters}
-        self._dependents: dict = {}  # supporter -> ordered set of (supported pair, cid)
+        self._supporters: dict = {}  # (supported pair, constraint) -> supporters
+        # supporter -> {(supported pair, constraint): (supported pair, arc)}
+        self._dependents: dict = {}
 
-    def set_supporters(self, supported, cid: int, supporters) -> None:
-        """Record that `supported` relies on exactly `supporters` for cid,
-        replacing the arcs recorded for it before; with no supporters it
-        relies on nothing for cid."""
-        by_cid = self._supporters.get(supported)
-        if by_cid is not None:
-            for supporter in by_cid.pop(cid, ()):
-                del self._dependents[supporter][(supported, cid)]
-        if not supporters:
-            return
-        supporters = tuple(supporters)
-        self._supporters.setdefault(supported, {})[cid] = supporters
-        for supporter in supporters:
-            self._dependents.setdefault(supporter, {})[(supported, cid)] = None
+    def set_supporters(self, supported, arc: tuple, supporters: list) -> None:
+        """Record that `supported` relies on exactly `supporters` under the
+        constraint of arc, which its support was found on, replacing the
+        reliance arcs recorded for it and that constraint before; with no
+        supporters it relies on nothing for the constraint."""
+        key = (supported, arc[0])
+        for supporter in self._supporters.pop(key, ()):
+            del self._dependents[supporter][key]
+        if supporters:
+            self._supporters[key] = supporters
+            for supporter in supporters:
+                self._dependents.setdefault(supporter, {})[key] = (supported, arc)
 
     def dependents(self, supporter) -> list:
-        """Pairs (dependent pair, constraint id) that rely on `supporter`."""
-        return list(self._dependents.get(supporter, ()))
+        """(dependent pair, arc) for each reliance on `supporter`, with the
+        arc its support was found on."""
+        return list(self._dependents.get(supporter, {}).values())
 
     def clear(self) -> None:
         self.nodes.clear()

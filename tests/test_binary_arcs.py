@@ -64,8 +64,8 @@ def record(engine):
 
 def binary_arcs(engine) -> int:
     """The engine's arcs over two distinct variables."""
-    return sum(spread is None and len(others) == 1 for c in engine.fd_constraints()
-               for _, _, others, _, _, spread in c.arcs.values())
+    return sum(spread is None and len(others) == 1 for v in engine.variables
+               for _, _, others, _, _, spread in v.arcs)
 
 
 def both_paths(monkeypatch, build):

@@ -278,6 +278,13 @@ def test_main_missing_file_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_main_a_file_that_is_not_utf8_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.icsp"
+    bad.write_bytes(b"\xff")
+    assert main([str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_main_runs_golden(tmp_path, capsys):
     path = tmp_path / "golden.icsp"
     path.write_text(GOLDEN_PROBLEM, encoding="utf-8")

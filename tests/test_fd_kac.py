@@ -8,7 +8,7 @@ import operator
 import pytest
 
 from icsp import (Engine, Inclusion, Inconsistency, Intersection, IsetStore, PairState,
-                  ScriptedSource, resolve_verifier)
+                  ScriptedSource, Union, resolve_verifier)
 
 from instances import audit_transitions, engine_kac_holds, pair_place_errors
 from icsp.oracle import ClosedCsp, ac3
@@ -466,5 +466,27 @@ def test_an_inconsistent_engine_is_freed_without_the_cycle_collector(make):
     gc.collect()
     eng = make()
     assert eng.inconsistency is not None
+    del eng
+    assert gc.collect() == 0
+
+
+def test_a_labelled_engine_is_freed_without_the_cycle_collector():
+    # Each arc holds its constraint and no constraint holds an arc, so an
+    # engine that solved, acquired and labelled forms no reference cycle.
+    gc.collect()
+    eng = Engine()
+    a = eng.new_iset([1, 2, 3], open=False)
+    b = eng.new_iset([2, 3], open=False)
+    u = eng.new_iset()
+    eng.post_iset_constraint(Union(a, b, u))
+    o = eng.new_iset()
+    eng.register_source(o, ScriptedSource([3, 1]))
+    x, y, z, w = (eng.new_fd_variable(s) for s in (a, b, o, u))
+    eng.post_fd_constraint("lt", [x, y])
+    eng.post_fd_constraint("sum_eq_const:6", [x, y, z])
+    eng.post_fd_constraint("sum_eq_const:4", [w, w, x])
+    assert eng.solve() is True
+    assert eng.label() == {x: 2, y: 3, z: 1, w: 1}
+    assert [element for _, _, element in eng.acquisitions] == [3, 1]
     del eng
     assert gc.collect() == 0

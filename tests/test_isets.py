@@ -7,10 +7,12 @@ import random
 import pytest
 
 from icsp import (
+    AcquisitionContext,
     AcquisitionSource,
     Engine,
     Inconsistency,
     IsetStore,
+    RangeSource,
     ScriptedSource,
     SourceContractError,
 )
@@ -708,15 +710,45 @@ def test_closing_both_operands_rejects_a_result_element_outside_them(kind, messa
     assert str(raised.value) == message
 
 
-def test_built_in_set_constraints_print_their_arguments_and_check_their_count():
+def test_reprs_name_their_arguments_and_set_constraints_check_their_count():
+    eng = Engine()
+    x = eng.variable(eng.new_fd_variable(eng.new_iset([1]), name="x"))
+    lt = eng.fd_constraint(eng.post_fd_constraint("lt", [x.id, x.id]))
     assert [repr(c) for c in (Member(5, 0), Member("blue", 2), Inclusion(0, 1),
-                              Intersection(0, 1, 2), Union(3, 4, 5), Difference(2, 1, 0))] == [
+                              Intersection(0, 1, 2), Union(3, 4, 5), Difference(2, 1, 0),
+                              ScriptedSource([1, "a"]), RangeSource(2, 5), x, lt)] == [
         "Member(5, s0)", "Member('blue', s2)", "Inclusion(s0, s1)",
-        "Intersection(s0, s1, s2)", "Union(s3, s4, s5)", "Difference(s2, s1, s0)"]
+        "Intersection(s0, s1, s2)", "Union(s3, s4, s5)", "Difference(s2, s1, s0)",
+        "ScriptedSource([1, 'a'])", "RangeSource(2..5)", "FdVariable(x)", "FdConstraint(lt/2)"]
     with pytest.raises(TypeError):
         Intersection(0, 1)
     with pytest.raises(TypeError):
         Inclusion(0, 1, 2)
+
+
+class Silent(IsetConstraint):
+    """Watches both events on its first iset and keeps the base handlers."""
+
+    ARITY, INSERTED, CLOSED = 2, (0,), (0,)
+
+
+def test_a_constraint_that_keeps_the_base_handlers_changes_nothing():
+    store = IsetStore()
+    a = store.new_iset([1])
+    b = store.new_iset([2])
+    store.post(Silent(a, b))
+    store.ensure_member(a, 3)
+    store.close(a)
+    store.fixpoint()
+    assert store.known_in_order(a) == [1, 3] and store.is_closed(a)
+    assert store.known_in_order(b) == [2] and not store.is_closed(b)
+    assert store.trace == [("INSERT", "s0", 1), ("INSERT", "s1", 2),
+                           ("INSERT", "s0", 3), ("CLOSE", "s0")]
+
+
+def test_the_base_source_has_no_next():
+    with pytest.raises(NotImplementedError):
+        AcquisitionSource().next(0, AcquisitionContext())
 
 
 def test_posting_replays_the_watched_history_in_position_order():

@@ -80,10 +80,12 @@ def test_each_bind_leaves_the_ac3_closure_in_queens():
 
 
 def nested_walk(engine, var):
-    """The arcs that revise walked from var before it kept a list of them."""
-    constraints = engine.fd_constraints()
-    return [arc for cid, *_ in var.arcs
-            for w, arc in constraints[cid].arcs.items() if w != var.id]
+    """The arcs that revise walked from var before it kept a list of them:
+    for each constraint on var, the arc that each of its other distinct
+    variables holds for it, in argument order."""
+    return [arc for c, *_ in var.arcs
+            for w in dict.fromkeys(c.args) if w != var.id
+            for arc in engine.variables[w].arcs if arc[0] is c]
 
 
 def assert_revise_lists(engine):

@@ -18,9 +18,11 @@ and changed no outcome.
 
 import hashlib
 import random
+from itertools import product
 
 import pytest
 
+import icsp.engine
 from icsp import Engine, Inconsistency, RangeSource, ScriptedSource, resolve_verifier
 
 from instances import random_nary_closed_csp, random_open_engine
@@ -170,6 +172,36 @@ def test_a_resumed_seek_skips_tuples_whose_values_are_new_only_elsewhere():
     ]
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "CHANGES.md FOUND on _find_tuple, ROADMAP item 11: a resumed n-ary seek "
+    "walks every old tuple of product(*pools) and skips each one"))
+def test_a_resumed_seek_walks_no_old_tuple(monkeypatch):
+    # x's seek over (y, z) fails on (1, 0) and (2, 0) and acquires 3 into
+    # z; a later seek for y's 1 acquires z's exhaustion. Outside search
+    # every tuple that product yields to a seek is either verified or, in a
+    # resumed pass, skipped as old, so the counts agree only if the resumed
+    # pass never reaches (1, 0) and (2, 0) again.
+    walked = []
+
+    def counting_product(*pools):
+        for support in product(*pools):
+            walked.append(support)
+            yield support
+
+    monkeypatch.setattr(icsp.engine, "product", counting_product)
+    engine = Engine()
+    x = closed(engine, "x", [1])
+    y = closed(engine, "y", [1, 2])
+    z = scripted(engine, "z", [0], [3])
+    constraint = engine.fd_constraint(engine.post_fd_constraint("sum_eq_const:6", [x, y, z]))
+    calls, verify = [], constraint.verify
+    constraint.verify = lambda values: calls.append(tuple(values)) or verify(values)
+    assert engine.solve() is True
+    assert [element for _, _, element in engine.acquisitions] == [3, None]
+    assert len(calls) == 9
+    assert len(walked) == len(calls)
+
+
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_each_verifier_call_gets_a_fresh_list_in_argument_order(name):
     engine = BUILDERS[name]()
@@ -250,13 +282,18 @@ def test_a_verifier_that_is_not_callable_is_rejected_at_posting():
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_each_variable_holds_the_arcs_its_constraints_keep(name):
+def test_each_arc_is_held_by_the_variable_it_names_and_by_no_constraint(name):
     engine = BUILDERS[name]()
     assert not hasattr(engine, "_arcs")
-    held = {(arc[0], var.id): arc for var in engine.variables for arc in var.arcs}
-    kept = {(c.id, vid): arc for c in engine.fd_constraints() for vid, arc in c.arcs.items()}
-    assert held.keys() == kept.keys()
-    assert all(held[key] is arc for key, arc in kept.items())
+    held = []
+    for var in engine.variables:
+        for constraint, w, *_ in var.arcs:
+            assert w == var.id and w in constraint.args
+            assert engine.fd_constraint(constraint.id) is constraint
+            held.append((constraint.id, w))
+    constraints = engine.fd_constraints()
+    assert not any(hasattr(c, "arcs") for c in constraints)
+    assert sorted(held) == sorted((c.id, w) for c in constraints for w in set(c.args))
 
 
 @pytest.mark.parametrize("name", ["binary", "repeated_aab", "repeated_baa", "ternary"])
