@@ -8,6 +8,7 @@ on the engine's thread and must not call back into the engine.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -44,17 +45,13 @@ class ScriptedSource(AcquisitionSource):
 
     def __init__(self, elements):
         self.elements = list(elements)
-        self._pos = 0
+        self._rest = iter(self.elements)
 
     def next(self, iset, ctx):
-        if self._pos >= len(self.elements):
-            return None
-        element = self.elements[self._pos]
-        self._pos += 1
-        return element
+        return next(self._rest, None)
 
     def calls_served(self) -> int:
-        return self._pos
+        return len(self.elements) - operator.length_hint(self._rest)
 
     def __repr__(self):
         return f"ScriptedSource({self.elements!r})"
@@ -66,14 +63,10 @@ class RangeSource(AcquisitionSource):
     def __init__(self, lo: int, hi: int):
         self.lo = lo
         self.hi = hi
-        self._next = lo
+        self._rest = iter(range(lo, hi + 1))
 
     def next(self, iset, ctx):
-        if self._next > self.hi:
-            return None
-        value = self._next
-        self._next += 1
-        return value
+        return next(self._rest, None)
 
     def __repr__(self):
         return f"RangeSource({self.lo}..{self.hi})"

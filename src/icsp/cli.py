@@ -36,6 +36,7 @@ from .engine import Engine
 from .errors import Inconsistency, SourceContractError
 from .fd import builtin_verifier
 from .isets import (
+    ATOM as _NAME,
     Difference,
     Inclusion,
     Intersection,
@@ -46,7 +47,6 @@ from .isets import (
     parse_element,
 )
 
-_NAME = r"[a-z][a-z0-9_]*"
 _ISET_RE = re.compile(rf"iset\s+({_NAME})\s+(open|closed)\s+\{{\s*(.*?)\s*\}}\Z")
 _VAR_RE = re.compile(rf"var\s+({_NAME})\s+::\s+({_NAME})\Z")
 _MEMBER_RE = re.compile(r"isetc\s+member\s+(\S+)\s+(\S+)\Z")
@@ -283,7 +283,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         problem = parse(Path(args.problem).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, ProblemError) as exc:
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        print(f"error: {args.problem}: line {line}: not UTF-8 text",
+              file=sys.stderr)
+        return 2
+    except (OSError, ProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     problem.labeling = problem.labeling or args.label

@@ -657,7 +657,9 @@ class Engine:
         return {v.id: v.bound_to for v in order}
 
     def _bind(self, var: FdVariable, value: Element) -> None:
-        for e in [*(e for e in var.present if e != value), *var.candidates]:
+        # A bind follows a kac_fixpoint run to quiescence, which leaves no
+        # variable a candidate, so the present values are all there is.
+        for e in [e for e in var.present if e != value]:
             self._move(var, e, REMOVED)
         self.isets.trail.append((setattr, var, "bound_to", var.bound_to))
         var.bound_to = value
@@ -685,18 +687,18 @@ class Engine:
         leave it unchanged. Any other arc tests each value of its residue
         tuple, and searches the present lists of the others in place.
 
-        A later pop of v in the same call skips v's binary arcs, those
-        whose others is just (v,) (repeated arguments such as [a, a, b]
-        included), when v has lost no value since its previous pop. That
-        is exact: the previous pop left every present value of w a residue
-        in v's present set, which is unchanged, and w's values can only
-        have been removed since, so the revision would remove nothing and
-        change no residue. Arcs over three or more distinct variables are
-        always revised: one of their other variables may have changed, and
-        revising them later, at its pop, would reorder the removals. A
-        variable with no such arc on its revise list (revise_nary unset)
-        would skip every arc, so a pop that finds it unchanged is skipped
-        whole."""
+        A later pop of v in the same call is skipped whole when v has lost
+        no value since its previous pop and every arc on its revise list is
+        binary, its others just (v,) (repeated arguments such as [a, a, b]
+        included; revise_nary unset). That is exact: the previous pop left
+        every present value of w a residue in v's present set, which is
+        unchanged, and w's values can only have been removed since, so the
+        revision would remove nothing and change no residue. A variable
+        with an arc over three or more distinct variables is always
+        revised: one of the arc's other variables may have changed, and
+        revising it later, at that variable's pop, would reorder the
+        removals. Its binary arcs are revised too, and find every residue
+        present."""
         variables = self.variables
         work = deque(v.id for v in seeds)
         seen: dict = {}  # var id -> len(removed) at its previous pop
@@ -704,15 +706,12 @@ class Engine:
             vid = work.popleft()
             vvar = variables[vid]
             lost = len(vvar.removed)
-            unchanged = seen.get(vid) == lost
-            if unchanged and not vvar.revise_nary:
+            if seen.get(vid) == lost and not vvar.revise_nary:
                 continue
             seen[vid] = lost
             vstates, vpresent = vvar.states, vvar.present
             for arc in vvar.revise:
                 constraint, w, others, residues, k, spread = arc
-                if unchanged and len(others) == 1:
-                    continue
                 wvar = variables[w]
                 binary = spread is None and len(others) == 1
                 if binary:

@@ -34,7 +34,10 @@ from .errors import Inconsistency
 Element = _Union[int, str]
 
 _INT_RE = re.compile(r"-?\d+\Z")
-_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+# A lowercase atom: the text of an atom element, and of every name in a
+# problem file (see icsp.cli).
+ATOM = r"[a-z][a-z0-9_]*"
+_ATOM_RE = re.compile(rf"{ATOM}\Z")
 
 
 def parse_element(text: str) -> Element:

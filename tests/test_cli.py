@@ -280,9 +280,9 @@ def test_main_missing_file_exit_2(capsys):
 
 def test_main_a_file_that_is_not_utf8_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.icsp"
-    bad.write_bytes(b"\xff")
+    bad.write_bytes(b"iset d open {}\n\xff\xfe\n")
     assert main([str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == f"error: {bad}: line 2: not UTF-8 text\n"
 
 
 def test_main_runs_golden(tmp_path, capsys):

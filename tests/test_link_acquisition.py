@@ -124,6 +124,23 @@ def test_scripted_source_then_exhaustion_closes():
     assert eng.isets.is_closed(d)
 
 
+@pytest.mark.parametrize("source, replies, served", [
+    (ScriptedSource([2, 5]), [2, 5, None, None], [1, 2, 2, 2]),
+    (ScriptedSource([]), [None, None], [0, 0]),
+    (RangeSource(1, 2), [1, 2, None, None], None),
+    (RangeSource(3, 2), [None, None], None),
+], ids=repr)
+def test_a_source_keeps_reporting_exhaustion(source, replies, served):
+    # The engine closes an iset at its source's first None and never asks
+    # again, so only a direct call sees the replies after it.
+    counts = []
+    for reply in replies:
+        assert source.next(0, AcquisitionContext()) == reply
+        if served is not None:
+            counts.append(source.calls_served())
+    assert served is None or counts == served
+
+
 def test_acquire_without_source_closes():
     eng = Engine()
     d = eng.new_iset(name="d")

@@ -1,5 +1,5 @@
 """Long support chains and deep search at the default recursion limit,
-and the memory label() takes on a long chain."""
+and the memory label() takes and the variables it scans on a long chain."""
 
 import sys
 import tracemalloc
@@ -86,3 +86,29 @@ def test_label_memory_on_a_long_ne_chain():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+class CountingList(list):
+    """A list that counts the items its iterators yield; indexing is
+    unchanged."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.yielded = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.yielded += 1
+            yield item
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: every kac_fixpoint round scans all variables twice, so "
+    "label() on a chain of n variables visits about 2 n^2 of them"))
+def test_label_on_a_long_ne_chain_scans_few_variables():
+    n = 500
+    eng, _ids = build_engine(closed_chain("ne", n, 2))
+    assert eng.solve() is True
+    eng.variables = CountingList(eng.variables)
+    assert eng.label() is not None
+    assert eng.variables.yielded < 20 * n

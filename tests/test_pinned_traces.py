@@ -7,9 +7,10 @@ recorded, in the order of removals or in when an element is acquired shows
 up here. The digests were taken with the plain re-enumerating support
 search (every seek and every retry starting from the first tuple); the
 incremental search must reproduce them byte for byte. closed_nary_label
-was taken before `_revise` learned to skip binary arcs whose source lost
-no value: it pins the order of removals along the n-ary revise path,
-which must never take that skip. iset_traces and cli_problems were taken
+was taken before `_revise` learned to skip a pop whose variable lost no
+value since its previous pop: it pins the order of removals along the
+n-ary revise path, which must never skip a variable that has an arc over
+three or more variables. iset_traces and cli_problems were taken
 while every set event still went to every constraint on its iset: they
 pin the order in which the set layer inserts and closes.
 """
