@@ -26,7 +26,6 @@ from .isets import (
     Member,
     Union,
     element_sort_key,
-    format_element,
     parse_element,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "SourceContractError",
     "Union",
     "element_sort_key",
-    "format_element",
     "parse_element",
     "resolve_verifier",
 ]

@@ -78,8 +78,9 @@ class InteractiveSource(AcquisitionSource):
     Prompts go to output_stream, standard error by default, so standard
     output carries only what the caller writes there (the CLI's trace and
     result). Replies are read from input_stream, standard input by
-    default. A line parsing as an integer or a bare lowercase atom is an
-    element; the literal line "none" (or end of input) means exhausted.
+    default. A line that parse_element reads, an ASCII integer or a bare
+    lowercase atom, is an element; the literal line "none" (or end of
+    input) means exhausted.
     Unparsable lines are reported and re-prompted. Each line is read once:
     a reply that search undoes is replayed by the engine, not asked for
     again.

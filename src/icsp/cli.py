@@ -14,9 +14,10 @@ Grammar (one directive per line, `#` starts a comment):
     option labeling on|off
 
 Names are lowercase atoms, unique per kind, declared before use. Elements
-are signed integers or bare lowercase atoms. <cname> is one of the built-in
-verifiers (lt, le, gt, ge, eq, ne, sum_eq_const:<k>); arbitrary verifiers
-are a library-only feature.
+are signed integers or bare lowercase atoms. Every integer, in an element,
+a range bound or sum_eq_const:<k>, is written in ASCII as -?[0-9]+ (see
+isets.INT). <cname> is one of the built-in verifiers (lt, le, gt, ge, eq,
+ne, sum_eq_const:<k>); arbitrary verifiers are a library-only feature.
 
 Exit codes: 0 consistent, 1 inconsistent, 2 an error: a usage or parse
 error, a problem file that cannot be read as UTF-8 text, or a source that
@@ -37,13 +38,13 @@ from .errors import Inconsistency, SourceContractError
 from .fd import builtin_verifier
 from .isets import (
     ATOM as _NAME,
+    INT,
     Difference,
     Inclusion,
     Intersection,
     Member,
     Union,
     element_sort_key,
-    format_element,
     parse_element,
 )
 
@@ -51,7 +52,7 @@ _ISET_RE = re.compile(rf"iset\s+({_NAME})\s+(open|closed)\s+\{{\s*(.*?)\s*\}}\Z"
 _VAR_RE = re.compile(rf"var\s+({_NAME})\s+::\s+({_NAME})\Z")
 _MEMBER_RE = re.compile(r"isetc\s+member\s+(\S+)\s+(\S+)\Z")
 _SCRIPT_RE = re.compile(rf"source\s+{_NAME}\s+script\s+\[\s*(.*?)\s*\]\Z")
-_RANGE_RE = re.compile(rf"source\s+{_NAME}\s+range\s+(-?\d+)\.\.(-?\d+)\Z")
+_RANGE_RE = re.compile(rf"source\s+{_NAME}\s+range\s+({INT})\.\.({INT})\Z")
 _INTERACTIVE_RE = re.compile(rf"source\s+{_NAME}\s+interactive\Z")
 _OPTION_RE = re.compile(r"option\s+labeling\s+(on|off)\Z")
 
@@ -106,14 +107,15 @@ def _match(regex, line, usage, lineno):
     return m.groups()
 
 
+def _element(text, lineno):
+    try:
+        return parse_element(text)
+    except ValueError:
+        _err(lineno, f"bad element {text.strip()!r}")
+
+
 def _elements(body, lineno):
-    out = []
-    for piece in body.split(",") if body else ():
-        try:
-            out.append(parse_element(piece))
-        except ValueError:
-            _err(lineno, f"bad element {piece.strip()!r}")
-    return out
+    return [_element(piece, lineno) for piece in body.split(",")] if body else []
 
 
 def parse(text: str) -> ProblemFile:
@@ -153,10 +155,7 @@ def parse(text: str) -> ProblemFile:
             kind, args = tokens[1], tokens[2:]
             if kind == "member":
                 token, iset = _match(_MEMBER_RE, line, "isetc member <e> <iset>", lineno)
-                try:
-                    element = parse_element(token)
-                except ValueError:
-                    _err(lineno, f"bad element {token!r}")
+                element = _element(token, lineno)
                 _need(isets, "iset", [iset], lineno)
                 problem.directives.append(("isetc", "member", element, iset))
             elif kind in _ISETC_CLASSES:
@@ -233,22 +232,19 @@ def build(problem: ProblemFile) -> Engine:
 def format_trace_entry(entry) -> str:
     tag = entry[0]
     if tag in ("INSERT", "CANDIDATE", "OBSERVE", "PRESENT", "REMOVE"):
-        return f"{tag} {entry[1]} {format_element(entry[2])}"
+        return f"{tag} {entry[1]} {entry[2]}"
     if tag == "CLOSE":
         return f"CLOSE {entry[1]}"
     if tag == "RELY":
         (v1, e1), (v2, e2) = entry[1], entry[2]
-        return (f"RELY ({v1},{format_element(e1)}) "
-                f"({v2},{format_element(e2)}) {entry[3]}")
+        return f"RELY ({v1},{e1}) ({v2},{e2}) {entry[3]}"
     if tag == "ACQUIRE":
-        got = format_element(entry[2]) if entry[2] is not None else "none"
-        return f"ACQUIRE {entry[1]} -> {got}"
+        return f"ACQUIRE {entry[1]} -> {'none' if entry[2] is None else entry[2]}"
     raise ValueError(f"unknown trace entry {entry!r}")
 
 
 def _domain_line(name, present, removed) -> str:
-    fmt = lambda elems: ",".join(
-        format_element(e) for e in sorted(elems, key=element_sort_key))
+    fmt = lambda elems: ",".join(map(str, sorted(elems, key=element_sort_key)))
     return f"DOMAIN {name} present=[{fmt(present)}] removed=[{fmt(removed)}]"
 
 

@@ -659,16 +659,20 @@ class Engine:
     def _bind(self, var: FdVariable, value: Element) -> None:
         # A bind follows a kac_fixpoint run to quiescence, which leaves no
         # variable a candidate, so the present values are all there is.
+        # Revising only removes present values, so it leaves no candidate,
+        # set event or acquisition behind: kac_fixpoint has work only when
+        # a removal left a variable with no present value.
         for e in [e for e in var.present if e != value]:
             self._move(var, e, REMOVED)
         self.isets.trail.append((setattr, var, "bound_to", var.bound_to))
         var.bound_to = value
-        self._revise([var])
-        self.kac_fixpoint()
+        if self._revise(var):
+            self.kac_fixpoint()
 
-    def _revise(self, seeds: list) -> None:
+    def _revise(self, seed: FdVariable) -> bool:
         """Cascade removal of present values whose every present-tuple
-        support died when a search decision narrowed some variable.
+        support died when a search decision narrowed seed. Returns whether
+        some removal left a variable with no present value.
 
         A work queue holds variables that lost values, one entry per loss.
         Popping v revises the arcs on v's revise list, built at posting:
@@ -700,7 +704,8 @@ class Engine:
         removals. Its binary arcs are revised too, and find every residue
         present."""
         variables = self.variables
-        work = deque(v.id for v in seeds)
+        work = deque([seed.id])
+        emptied = False
         seen: dict = {}  # var id -> len(removed) at its previous pop
         while work:
             vid = work.popleft()
@@ -734,8 +739,10 @@ class Engine:
                     if support is None:
                         self._move(wvar, e, REMOVED)
                         work.append(w)
+                        emptied = emptied or not wvar.present
                     else:
                         residues[e] = support
+        return emptied
 
     # ------------------------------------------------------------------
     # snapshots (search only; taken at quiescence)

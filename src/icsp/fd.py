@@ -22,11 +22,12 @@ and the list that holds its element therefore never disagree.
 from __future__ import annotations
 
 import operator
+import re
 from collections import deque
 from enum import Enum
 from typing import Callable, Sequence
 
-from .isets import Element, Iset
+from .isets import INT, Element, Iset
 
 
 class PairState(Enum):
@@ -224,17 +225,17 @@ def resolve_verifier(name: str):
     """Map a constraint name to (min arity, max arity or None, verifier).
 
     Supported: lt, le, gt, ge, eq, ne (binary) and sum_eq_const:<k>
-    (any arity >= 1, integer elements summing to k).
+    (any arity >= 1, integer elements summing to k, where k is written
+    as an integer element is: icsp.isets.INT, ASCII digits only).
     """
     if name in _BUILTINS:
         return 2, 2, _BUILTINS[name]
     if name.startswith("sum_eq_const:"):
-        try:
-            k = int(name.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad constant in {name!r}") from None
+        k = name.split(":", 1)[1]
+        if not re.fullmatch(INT, k):
+            raise ValueError(f"bad constant in {name!r}")
 
-        def check(values, _k=k):
+        def check(values, _k=int(k)):
             return all(isinstance(v, int) for v in values) and sum(values) == _k
 
         return 1, None, check

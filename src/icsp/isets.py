@@ -33,7 +33,10 @@ from .errors import Inconsistency
 # A ground element: an integer or an interned-string atom.
 Element = _Union[int, str]
 
-_INT_RE = re.compile(r"-?\d+\Z")
+# An integer, in ASCII digits only: the text of an integer element, and of
+# every number in a problem file (see icsp.cli and resolve_verifier).
+INT = r"-?[0-9]+"
+_INT_RE = re.compile(rf"{INT}\Z")
 # A lowercase atom: the text of an atom element, and of every name in a
 # problem file (see icsp.cli).
 ATOM = r"[a-z][a-z0-9_]*"
@@ -41,7 +44,7 @@ _ATOM_RE = re.compile(rf"{ATOM}\Z")
 
 
 def parse_element(text: str) -> Element:
-    """Parse a signed integer or a bare lowercase atom."""
+    """Parse a signed ASCII integer (INT) or a bare lowercase atom."""
     text = text.strip()
     if _INT_RE.match(text):
         return int(text)
@@ -61,10 +64,6 @@ def check_element(x) -> Element:
     if not is_element(x):
         raise ValueError(f"not an element: {x!r}")
     return x
-
-
-def format_element(element: Element) -> str:
-    return str(element)
 
 
 def element_sort_key(element: Element):

@@ -36,6 +36,34 @@ def set_algebra(kind, a, b):
     raise ValueError(kind)
 
 
+def golden_engine():
+    """Three variables over unknown domains, an intersection between the
+    domains, one order constraint, and two scripted suppliers."""
+    eng = Engine()
+    dx = eng.new_iset(name="dx")
+    dy = eng.new_iset(name="dy")
+    dz = eng.new_iset(name="dz")
+    x = eng.new_fd_variable(dx, name="x")
+    y = eng.new_fd_variable(dy, name="y")
+    z = eng.new_fd_variable(dz, name="z")
+    eng.post_iset_constraint(Intersection(dx, dy, dz))
+    eng.post_fd_constraint("gt", [z, x])
+    eng.register_source(dx, ScriptedSource([1]))
+    eng.register_source(dz, ScriptedSource([2]))
+    return eng, (dx, dy, dz), (x, y, z)
+
+
+def intersection_store():
+    """The worked starting state: DX={2,4}, DY={3,4}, DZ={4}, all open."""
+    store = IsetStore()
+    dx = store.new_iset([2, 4], name="dx")
+    dy = store.new_iset([3, 4], name="dy")
+    dz = store.new_iset([4], name="dz")
+    store.post(Intersection(dx, dy, dz))
+    store.fixpoint()
+    return store, dx, dy, dz
+
+
 def engine_kac_holds(engine):
     """Definition check at quiescence: every present value of every variable
     has a satisfying all-present tuple for every constraint on it."""

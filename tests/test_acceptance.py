@@ -9,11 +9,13 @@ scenario criteria are pooled and audited by the final criterion.
 import random
 import time
 
-from icsp import Engine, Intersection, IsetStore, ScriptedSource
+from icsp import Engine, ScriptedSource
 
 from instances import (
     audit_transitions,
     engine_kac_holds,
+    golden_engine,
+    intersection_store,
     random_algebra_instance,
     random_closed_csp,
     random_iset_instance,
@@ -29,24 +31,9 @@ def _passed(n, text):
     print(f"\nacceptance criterion {n}: PASS ({text})")
 
 
-def _golden_engine():
-    eng = Engine()
-    dx = eng.new_iset(name="dx")
-    dy = eng.new_iset(name="dy")
-    dz = eng.new_iset(name="dz")
-    x = eng.new_fd_variable(dx, name="x")
-    y = eng.new_fd_variable(dy, name="y")
-    z = eng.new_fd_variable(dz, name="z")
-    eng.post_iset_constraint(Intersection(dx, dy, dz))
-    eng.post_fd_constraint("gt", [z, x])
-    eng.register_source(dx, ScriptedSource([1]))
-    eng.register_source(dz, ScriptedSource([2]))
-    return eng, (dx, dy, dz), (x, y, z)
-
-
 def test_criterion_1_golden_walkthrough():
     started = time.perf_counter()
-    eng, (dx, dy, dz), (x, y, z) = _golden_engine()
+    eng, (dx, dy, dz), (x, y, z) = golden_engine()
     assert eng.solve() is True
     elapsed = time.perf_counter() - started
     assert eng.present(x) == [1] and eng.removed(x) == [2]
@@ -64,15 +51,6 @@ def test_criterion_1_golden_walkthrough():
 
 
 def test_criterion_2_intersection_consequences():
-    def base():
-        store = IsetStore()
-        dx = store.new_iset([2, 4], name="dx")
-        dy = store.new_iset([3, 4], name="dy")
-        dz = store.new_iset([4], name="dz")
-        store.post(Intersection(dx, dy, dz))
-        store.fixpoint()
-        return store, dx, dy, dz
-
     cases = [
         ("dz", 5, ({2, 4, 5}, {3, 4, 5}, {4, 5})),   # flows into both operands
         ("dz", 3, ({2, 3, 4}, {3, 4}, {3, 4})),      # only dx was missing it
@@ -80,7 +58,7 @@ def test_criterion_2_intersection_consequences():
         ("dx", 1, ({1, 2, 4}, {3, 4}, {4})),         # nothing can be inferred
     ]
     for target, element, (want_dx, want_dy, want_dz) in cases:
-        store, dx, dy, dz = base()
+        store, dx, dy, dz = intersection_store()
         store.ensure_member({"dx": dx, "dz": dz}[target], element)
         store.fixpoint()
         assert store.known(dx) == want_dx
@@ -104,7 +82,7 @@ def test_criterion_3_differential_against_ac3():
 def test_criterion_4_known_arc_consistency_at_quiescence():
     # scenario engines from criteria 1-2 (criterion 3 asserts the property
     # inside compare_kac_ac for every quiescent instance)
-    eng, _isets, _vars = _golden_engine()
+    eng, _isets, _vars = golden_engine()
     assert eng.solve() is True
     assert engine_kac_holds(eng)
     _AUDITED_ENGINES.append(eng)

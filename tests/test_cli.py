@@ -55,7 +55,7 @@ DOMAIN z present=[2] removed=[]
 """
 
 # strict per-line validators for the emitted format
-_ELEM = r"-?\d+|[a-z][a-z0-9_]*"
+_ELEM = r"-?[0-9]+|[a-z][a-z0-9_]*"
 _NAME = r"[a-z][a-z0-9_]*"
 TRACE_LINE_RES = [
     re.compile(rf"(INSERT|CANDIDATE|OBSERVE|PRESENT|REMOVE) {_NAME} ({_ELEM})\Z"),
@@ -319,6 +319,7 @@ _DECLS = "iset a open {}\niset b open {}\niset c open {}\nvar v :: a\n"
 
 PARSE_ERRORS = {
     "bad element in an iset": ("iset s open {1, Bad}", "bad element 'Bad'"),
+    "non-ASCII digit in an iset": ("iset s open {\u0663}", "bad element '\u0663'"),
     "iset syntax": ("iset s maybe {}", "expected: iset <name> open|closed {e1,e2,...}"),
     "duplicate iset": ("iset a closed {}", "duplicate iset 'a'"),
     "var syntax": ("var w : a", "expected: var <name> :: <iset>"),
@@ -328,9 +329,14 @@ PARSE_ERRORS = {
     "unknown fdc": ("fdc frob v", "unknown constraint name 'frob'"),
     "fdc over an undefined var": ("fdc eq v w", "undefined var 'w'"),
     "fdc with a bad constant": ("fdc sum_eq_const:x v", "bad constant in 'sum_eq_const:x'"),
+    "fdc with an underscored constant": ("fdc sum_eq_const:1_0 v",
+                                         "bad constant in 'sum_eq_const:1_0'"),
+    "fdc with a plus-signed constant": ("fdc sum_eq_const:+1 v",
+                                        "bad constant in 'sum_eq_const:+1'"),
     "member arity": ("isetc member 5", "expected: isetc member <e> <iset>"),
     "member element": ("isetc member Five a", "bad element 'Five'"),
     "member element with a comma": ("isetc member 1,2 a", "bad element '1,2'"),
+    "member element in full-width digits": ("isetc member \uff11 a", "bad element '\uff11'"),
     "member over an undefined iset": ("isetc member 5 d", "undefined iset 'd'"),
     "union arity": ("isetc union a b", "isetc union takes 3 iset names"),
     "intersection arity": ("isetc intersection a b c a",
@@ -349,6 +355,8 @@ PARSE_ERRORS = {
     "script syntax": ("source a script 1,2", "expected: source <iset> script [e1,e2,...]"),
     "script element": ("source a script [1,X]", "bad element 'X'"),
     "range syntax": ("source a range 1...2", "expected: source <iset> range <lo>..<hi>"),
+    "range bound in non-ASCII digits": ("source a range \u0661..2",
+                                        "expected: source <iset> range <lo>..<hi>"),
     "interactive syntax": ("source a interactive now", "expected: source <iset> interactive"),
     "unknown source kind": ("source a oracle", "unknown source kind 'oracle'"),
     "option syntax": ("option labeling maybe", "expected: option labeling on|off"),

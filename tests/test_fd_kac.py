@@ -7,28 +7,11 @@ import operator
 
 import pytest
 
-from icsp import (Engine, Inclusion, Inconsistency, Intersection, IsetStore, PairState,
+from icsp import (Engine, Inclusion, Inconsistency, IsetStore, PairState,
                   ScriptedSource, Union, resolve_verifier)
 
-from instances import audit_transitions, engine_kac_holds, pair_place_errors
+from instances import audit_transitions, engine_kac_holds, golden_engine, pair_place_errors
 from icsp.oracle import ClosedCsp, ac3
-
-
-def golden_engine():
-    """Three variables over unknown domains, an intersection between the
-    domains, one order constraint, and two scripted suppliers."""
-    eng = Engine()
-    dx = eng.new_iset(name="dx")
-    dy = eng.new_iset(name="dy")
-    dz = eng.new_iset(name="dz")
-    x = eng.new_fd_variable(dx, name="x")
-    y = eng.new_fd_variable(dy, name="y")
-    z = eng.new_fd_variable(dz, name="z")
-    eng.post_iset_constraint(Intersection(dx, dy, dz))
-    eng.post_fd_constraint("gt", [z, x])
-    eng.register_source(dx, ScriptedSource([1]))
-    eng.register_source(dz, ScriptedSource([2]))
-    return eng, (dx, dy, dz), (x, y, z)
 
 
 # ----------------------------------------------------------------------
@@ -115,6 +98,15 @@ def test_builtin_arity_checked_at_post():
         eng.post_fd_constraint("lt", [v])
     with pytest.raises(ValueError):
         eng.post_fd_constraint("no_such_thing", [v, v])
+
+
+@pytest.mark.parametrize("name", ["sum_eq_const:x", "sum_eq_const:1_0", "sum_eq_const:+1",
+                                  "sum_eq_const: 7", "sum_eq_const:\uff11"])
+def test_a_sum_constant_is_written_as_an_integer_element(name):
+    # The constant reads by the rule an integer element does: ASCII -?[0-9]+.
+    with pytest.raises(ValueError, match="bad constant"):
+        resolve_verifier(name)
+    assert resolve_verifier("sum_eq_const:-7")[2]([-3, -4]) is True
 
 
 def test_a_constraint_without_arguments_is_rejected():

@@ -23,20 +23,10 @@ from icsp.isets import (
     IsetConstraint,
     Member,
     Union,
+    parse_element,
 )
 
-from instances import engine_state, random_algebra_instance
-
-
-def intersection_store():
-    """The worked starting state: DX={2,4}, DY={3,4}, DZ={4}, all open."""
-    store = IsetStore()
-    dx = store.new_iset([2, 4], name="dx")
-    dy = store.new_iset([3, 4], name="dy")
-    dz = store.new_iset([4], name="dz")
-    store.post(Intersection(dx, dy, dz))
-    store.fixpoint()
-    return store, dx, dy, dz
+from instances import engine_state, intersection_store, random_algebra_instance
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +137,14 @@ class Replies(AcquisitionSource):
 
     def next(self, iset, ctx):
         return self.reply
+
+
+def test_parse_element_reads_ascii_integers_and_atoms():
+    assert [parse_element(t) for t in ("7", " -12 ", "007", "blue", "e1")] == \
+        [7, -12, 7, "blue", "e1"]
+    for text in ("\u0663", "\uff11\uff12", "+1", "1_0", "1.0", "Abc", "a b", ""):
+        with pytest.raises(ValueError, match="not an element"):
+            parse_element(text)
 
 
 # Each route by which an element enters a set, as (error, call), on the

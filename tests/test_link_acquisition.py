@@ -233,15 +233,16 @@ def test_acquisition_log_records_every_call():
 
 def test_interactive_source_parses_elements_and_none():
     out = io.StringIO()
-    src = InteractiveSource("d", input_stream=io.StringIO("5\nfoo bar\nblue\nnone\n"),
+    src = InteractiveSource("d", input_stream=io.StringIO("\u0663\n5\nfoo bar\nblue\nnone\n"),
                             output_stream=out)
     ctx = AcquisitionContext(var_name="x")
-    assert src.next(0, ctx) == 5
+    assert src.next(0, ctx) == 5  # an Arabic-Indic 3 is no integer: re-prompted
     assert src.next(0, ctx) == "blue"  # "foo bar" is rejected and re-prompted
     assert src.next(0, ctx) is None
     prompts = out.getvalue()
     assert "acquire d for x? " in prompts
-    assert "cannot parse element" in prompts
+    assert "cannot parse element '\u0663'" in prompts
+    assert "cannot parse element 'foo bar'" in prompts
 
 
 def test_interactive_source_eof_means_exhausted():

@@ -1,5 +1,6 @@
 """Long support chains and deep search at the default recursion limit,
-and the memory label() takes and the variables it scans on a long chain."""
+and the memory label() takes and the variables label() and solve() scan
+on a long chain."""
 
 import sys
 import tracemalloc
@@ -102,13 +103,25 @@ class CountingList(list):
             yield item
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3: every kac_fixpoint round scans all variables twice, so "
-    "label() on a chain of n variables visits about 2 n^2 of them"))
 def test_label_on_a_long_ne_chain_scans_few_variables():
+    # A bind runs kac_fixpoint, which scans every variable, only when its
+    # removals leave some variable with no present value: here never, so
+    # label() visits 3n variables, where a fixpoint per bind visited 2n^2.
     n = 500
     eng, _ids = build_engine(closed_chain("ne", n, 2))
     assert eng.solve() is True
     eng.variables = CountingList(eng.variables)
     assert eng.label() is not None
     assert eng.variables.yielded < 20 * n
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: kac_fixpoint picks each candidate by scanning from the "
+    "first variable, so solve() on a closed lt chain of n variables visits "
+    "about n^3/3 of them"))
+def test_solve_on_a_closed_lt_chain_scans_few_variables():
+    n = 100
+    eng, _ids = build_engine(closed_chain("lt", n, n + 1))
+    eng.variables = CountingList(eng.variables)
+    assert eng.solve() is True
+    assert eng.variables.yielded < 10 * n * n

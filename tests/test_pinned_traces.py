@@ -24,6 +24,7 @@ import pytest
 
 from icsp import Engine, Inconsistency, RangeSource, ScriptedSource
 from icsp.cli import parse, run
+from icsp.oracle import build_engine
 
 from instances import (
     random_closed_csp,
@@ -128,15 +129,7 @@ def queens(n):
 
 
 def closed_csp(seed, generate=random_closed_csp):
-    csp = generate(random.Random(seed))
-    engine = Engine()
-    ids = {}
-    for key, dom in csp.domains.items():
-        iset = engine.new_iset(dom, open=False, name=f"d_{key}")
-        ids[key] = engine.new_fd_variable(iset, name=str(key))
-    for name, args, verifier in csp.constraints:
-        engine.post_fd_constraint(name, [ids[a] for a in args], verifier)
-    return engine
+    return build_engine(generate(random.Random(seed)))[0]
 
 
 def solved(engine) -> str:

@@ -145,11 +145,11 @@ def revise_counts(engine):
         var.revise = Walks(var.revise, var.id, walks)
     revise = engine._revise
 
-    def counted(seeds):
+    def counted(seed):
         start = len(engine.transitions)
-        queued.update(v.id for v in seeds)
+        queued[seed.id] += 1
         try:
-            revise(seeds)
+            return revise(seed)
         finally:
             queued.update(vid for vid, _, _, new, _ in engine.transitions[start:]
                           if new is REMOVED)
