@@ -24,7 +24,7 @@ One engine instance is single-threaded; callers must serialize access.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from copy import copy
 from itertools import islice, product
 from typing import Callable, Iterable, Sequence
@@ -55,6 +55,10 @@ _PLACES = {CANDIDATE: "candidates", OBSERVED: "observed", PRESENT: "present",
            REMOVED: "removed"}
 _TAGS = {CANDIDATE: "CANDIDATE", OBSERVED: "OBSERVE", PRESENT: "PRESENT", REMOVED: "REMOVE"}
 
+# The transition log of an engine that no reader gave one: always empty, it
+# drops whatever is appended to it, and _move builds no record for it.
+_UNLOGGED = deque(maxlen=0)
+
 
 def _first_support(verify, element: Element, k: int, pool: Iterable) -> "Element | None":
     """The first x of pool that supports element on a binary arc over two
@@ -78,15 +82,18 @@ class Engine:
         self.trace = self.isets.trace
         self.variables: list[FdVariable] = []
         self.graph = SupportGraph()
-        # (var id, element, from, to, phase) with phase "prop" or "search"
-        self.transitions: list = []
+        # (var id, element, from, to, phase) per move, phase "prop" or
+        # "search". Kept only in a list a reader attaches before the first
+        # move (engine.transitions = []); see _UNLOGGED.
+        self.transitions = _UNLOGGED
         # (iset id, requesting var id or None, element or None) per acquire call
         self.acquisitions: list = []
         self._fd_constraints: list[FdConstraint] = []
         self._links: dict[int, list[int]] = {}
         self._sources: dict[int, AcquisitionSource] = {}
-        # iset id -> the replies search undid, oldest first; see acquire
-        self._replays: defaultdict[int, deque] = defaultdict(deque)
+        # iset id -> the replies search undid, oldest first; an iset gets a
+        # queue at its first acquisition in search (see acquire)
+        self._replays: dict[int, deque] = {}
         # The first contradiction solve() caught or post_iset_constraint
         # raised. It is final: nothing outside search is ever taken back.
         self.inconsistency: "Inconsistency | None" = None
@@ -221,7 +228,8 @@ class Engine:
         In search the trail records that undoing the acquisition, or the
         drop, puts its reply back at the front of the replay queue, so a
         reply is asked of the source once and outlives the branch that
-        acquired it.
+        acquired it. An iset gets its queue when search first acquires for
+        it, so solve() alone leaves no queue behind.
         """
         isets = self.isets
         s = isets._get(iset)
@@ -235,7 +243,7 @@ class Engine:
             requesting_constraint=requesting_constraint,
             var_name=var_name,
         )
-        replay = self._replays[iset]
+        replay = self._replays.get(iset, ())
         while replay and replay[0] in s.known:
             isets.record(replay.appendleft, replay.popleft())
         if replay:
@@ -250,7 +258,9 @@ class Engine:
                 raise SourceContractError(
                     f"source for {s.name} repeated element {element!r}"
                 )
-        isets.record(replay.appendleft, element)
+        if isets.trail is not None:
+            replay = self._replays.setdefault(iset, deque())
+            isets.trail.append((replay.appendleft, element))
         self.acquisitions.append((iset, requesting_var, element))
         self.trace.append(("ACQUIRE", s.name, element))
         if element is None:
@@ -289,8 +299,8 @@ class Engine:
         the first variable with an empty present list that is unbound and
         whose definition domain is open gets one element acquired. With no
         such variable, the first with an empty present list is a
-        contradiction: its search value was eliminated if it is bound, and
-        its definition domain, closed, is wiped out if not.
+        contradiction, a domain wipe-out: it is bound, or its definition
+        domain is closed.
 
         Pairs still observed on entry belong to a check that an exception
         interrupted: they are checked again from the start, in the order
@@ -321,10 +331,7 @@ class Engine:
                 continue
             if not empty:
                 return
-            v = empty[0]
-            if v.bound_to is not None:
-                raise Inconsistency(f"search value for {v.name} was eliminated")
-            raise Inconsistency(f"domain wipe-out for {v.name}")
+            raise Inconsistency(f"domain wipe-out for {empty[0].name}")
 
     def _check_candidate(self, var: FdVariable, element: Element) -> None:
         """Seek support for an observed pair against every constraint on its
@@ -520,9 +527,10 @@ class Engine:
         an unknown pair is in none) and joins the end of that of the new
         one (target), each found through _PLACES. The support graph is
         touched only to append a newly observed pair to its nodes; a pair
-        removed while observed keeps its arcs (see SupportGraph). The
-        transition log and the trace get one entry each, and in search the
-        trail gets the record that _unmove undoes the move with."""
+        removed while observed keeps its arcs (see SupportGraph). The trace
+        gets one entry, the transition log one when a reader attached it,
+        and in search the trail gets the record that _unmove undoes the
+        move with."""
         old = var.states.get(element, UNKNOWN)
         trail = self.isets.trail
         if trail is None and var.bound_to is None:
@@ -547,7 +555,9 @@ class Engine:
         var.states[element] = new
         if trail is not None:
             trail.append((self._unmove, var, element, old, source, index, target))
-        self.transitions.append((var.id, element, old, new, phase))
+        log = self.transitions
+        if log is not _UNLOGGED:
+            log.append((var.id, element, old, new, phase))
         self.trace.append((_TAGS[new], var.name, element))
 
     @staticmethod

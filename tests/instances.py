@@ -36,10 +36,21 @@ def set_algebra(kind, a, b):
     raise ValueError(kind)
 
 
+def logged_engine():
+    """An Engine that keeps its transition log: the list is attached before
+    the engine's first move, so it holds every move. Tests that read the
+    log of engines from icsp.oracle.build_engine patch this in for
+    icsp.oracle.Engine."""
+    engine = Engine()
+    engine.transitions = []
+    return engine
+
+
 def golden_engine():
     """Three variables over unknown domains, an intersection between the
-    domains, one order constraint, and two scripted suppliers."""
-    eng = Engine()
+    domains, one order constraint, and two scripted suppliers. The engine
+    keeps its transition log."""
+    eng = logged_engine()
     dx = eng.new_iset(name="dx")
     dy = eng.new_iset(name="dy")
     dz = eng.new_iset(name="dz")
@@ -127,7 +138,10 @@ def engine_state(engine):
 
 
 def audit_transitions(engine):
-    """Every propagation-phase transition must be one of the four legal moves."""
+    """Every propagation-phase transition must be one of the four legal
+    moves. The engine must keep its log (see logged_engine): a default
+    engine's is always empty, and would pass any audit."""
+    assert type(engine.transitions) is list, "the engine keeps no transition log"
     bad = [t for t in engine.transitions
            if t[4] == "prop" and (t[2], t[3]) not in ALLOWED_TRANSITIONS]
     return bad
@@ -181,8 +195,9 @@ def random_nary_closed_csp(rng: random.Random) -> ClosedCsp:
 
 def random_open_engine(rng: random.Random):
     """An engine over partially-known domains, each open set backed by a
-    scripted source holding a shuffled slice of the leftover universe."""
-    engine = Engine()
+    scripted source holding a shuffled slice of the leftover universe. The
+    engine keeps its transition log."""
+    engine = logged_engine()
     universe = list(range(1, 6))
     var_ids = []
     for i in range(rng.randint(2, 4)):

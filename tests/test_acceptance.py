@@ -9,13 +9,14 @@ scenario criteria are pooled and audited by the final criterion.
 import random
 import time
 
-from icsp import Engine, ScriptedSource
+from icsp import ScriptedSource
 
 from instances import (
     audit_transitions,
     engine_kac_holds,
     golden_engine,
     intersection_store,
+    logged_engine,
     random_algebra_instance,
     random_closed_csp,
     random_iset_instance,
@@ -114,7 +115,7 @@ def test_criterion_5_closed_world_set_algebra():
 
 
 def test_criterion_6_lazy_acquisition_counts():
-    eng = Engine()
+    eng = logged_engine()
     dx = eng.new_iset(name="dx")
     dz = eng.new_iset(name="dz")
     x = eng.new_fd_variable(dx, name="x")

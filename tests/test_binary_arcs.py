@@ -23,10 +23,12 @@ from instances import random_closed_csp, random_nary_closed_csp, random_open_eng
 
 
 class CountingEngine(Engine):
-    """Posts every constraint with a verifier that counts its calls."""
+    """Posts every constraint with a verifier that counts its calls, and
+    keeps its transition log."""
 
     def __init__(self):
         super().__init__()
+        self.transitions = []
         self.verify_calls = 0
 
     def post_fd_constraint(self, name, args, verifier=None):

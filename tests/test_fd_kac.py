@@ -4,13 +4,20 @@ the full lazy-acquisition walkthrough."""
 
 import gc
 import operator
+from collections import Counter
 
 import pytest
 
 from icsp import (Engine, Inclusion, Inconsistency, IsetStore, PairState,
                   ScriptedSource, Union, resolve_verifier)
 
-from instances import audit_transitions, engine_kac_holds, golden_engine, pair_place_errors
+from instances import (
+    audit_transitions,
+    engine_kac_holds,
+    golden_engine,
+    logged_engine,
+    pair_place_errors,
+)
 from icsp.oracle import ClosedCsp, ac3
 
 
@@ -117,7 +124,7 @@ def test_a_constraint_without_arguments_is_rejected():
 
 
 def test_an_illegal_move_raises_before_changing_anything():
-    eng = Engine()
+    eng = logged_engine()
     v = eng.new_fd_variable(eng.new_iset([1]), name="v")
     var = eng.variable(v)
     assert var.state(1) is PairState.CANDIDATE
@@ -128,6 +135,32 @@ def test_an_illegal_move_raises_before_changing_anything():
     assert str(raised.value) == "illegal prop transition candidate->present for (v,1)"
     assert (dict(var.states), list(var.present), list(var.removed),
             list(var.candidates), list(eng.trace), list(eng.transitions)) == before
+
+
+def test_only_an_attached_list_keeps_the_transition_log():
+    # The default log stays empty through solve() and label(). A list
+    # attached before the first move gets one record per move, in the
+    # order of the trace's move entries; both engines run alike.
+    runs = []
+    for make in (Engine, logged_engine):
+        eng = make()
+        dx = eng.new_iset([1, 2], name="dx")
+        eng.register_source(dx, ScriptedSource([3]))
+        x = eng.new_fd_variable(dx, name="x")
+        y = eng.new_fd_variable(eng.new_iset([1, 2, 3], open=False, name="dy"), name="y")
+        eng.post_fd_constraint("lt", [x, y])
+        assert eng.solve() is True
+        assert eng.label() == {x: 1, y: 2}
+        runs.append(eng)
+    default, logged = runs
+    assert (default.trace, default.acquisitions) == (logged.trace, logged.acquisitions)
+    assert len(default.transitions) == 0 and list(default.transitions) == []
+    tags = Counter(entry[0] for entry in default.trace)
+    moves = [entry[1:] for entry in logged.trace
+             if entry[0] in ("CANDIDATE", "OBSERVE", "PRESENT", "REMOVE")]
+    assert len(moves) == sum(tags[t] for t in ("CANDIDATE", "OBSERVE", "PRESENT", "REMOVE"))
+    assert [(logged.variables[vid].name, e) for vid, e, *_ in logged.transitions] == moves
+    assert [phase for *_, phase in logged.transitions].count("search") == 2  # x=2, y=3
 
 
 @pytest.mark.parametrize("vid", [-1, 1, "x", 0.0, True, False])
@@ -393,7 +426,7 @@ def test_a_contradiction_found_by_solve_is_final():
     # forces into the closed db = {5}. Nothing outside search takes 7 back,
     # so acquiring 5 next would leave da = {5, 7} outside db: every later
     # solve() must stay False, without acquiring or propagating again.
-    eng = Engine()
+    eng = logged_engine()
     da = eng.new_iset(name="da")
     eng.register_source(da, ScriptedSource([7, 5]))
     db = eng.new_iset([5], open=False, name="db")

@@ -55,6 +55,16 @@ def test_new_iset_dedup_and_closed():
     assert list(store.queue) == [(s, 1), (s, 2), (s, 3), (s, 4), (s, None)]
 
 
+def test_new_iset_reads_a_one_shot_iterator_once():
+    store = IsetStore()
+    s = store.new_iset(iter([1, 2]))
+    assert store.known(s) == {1, 2}
+    with pytest.raises(ValueError, match="not an element: None"):
+        store.new_iset(iter([3, None]))
+    assert list(store.queue) == [(s, 1), (s, 2)]
+    assert store.new_iset() == s + 1  # the rejected iset was never created
+
+
 def test_ensure_member_inserts():
     store = IsetStore()
     s = store.new_iset([4])

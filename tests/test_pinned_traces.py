@@ -1,12 +1,13 @@
 """Pinned traces: seeded instances whose full event record must not change.
 
-Each builder below runs one seeded instance to its verdict. The digest
-covers the outcome plus the engine's trace, transition log and acquisition
-log, so any change in which tuple supports a pair, in which supporters are
-recorded, in the order of removals or in when an element is acquired shows
-up here. The digests were taken with the plain re-enumerating support
-search (every seek and every retry starting from the first tuple); the
-incremental search must reproduce them byte for byte. closed_nary_label
+Each builder below runs one seeded instance to its verdict, on an engine
+that keeps its transition log. The digest covers the outcome plus the
+engine's trace, transition log and acquisition log, so any change in which
+tuple supports a pair, in which supporters are recorded, in the order of
+removals or in when an element is acquired shows up here. The digests
+were taken with the plain re-enumerating support search (every seek and
+every retry starting from the first tuple); the incremental search must
+reproduce them byte for byte. closed_nary_label
 was taken before `_revise` learned to skip a pop whose variable lost no
 value since its previous pop: it pins the order of removals along the
 n-ary revise path, which must never skip a variable that has an arc over
@@ -22,11 +23,13 @@ from pathlib import Path
 
 import pytest
 
-from icsp import Engine, Inconsistency, RangeSource, ScriptedSource
+import icsp.oracle
+from icsp import Inconsistency, RangeSource, ScriptedSource
 from icsp.cli import parse, run
 from icsp.oracle import build_engine
 
 from instances import (
+    logged_engine,
     random_closed_csp,
     random_iset_instance,
     random_nary_closed_csp,
@@ -51,7 +54,7 @@ def open_chain(seed, name, nvars, universe):
     """A chain of binary constraints over open domains, each backed by a
     shuffled script over the universe, with one element known up front."""
     rng = random.Random(seed)
-    engine = Engine()
+    engine = logged_engine()
     ids = []
     for i in range(nvars):
         values = list(universe)
@@ -67,7 +70,7 @@ def open_chain(seed, name, nvars, universe):
 def open_sum(seed):
     """sum_eq_const over four variables: two closed, two open with scripts."""
     rng = random.Random(seed)
-    engine = Engine()
+    engine = logged_engine()
     ids = []
     for i in range(4):
         if i < 2:
@@ -86,7 +89,7 @@ def shared_iset(seed):
     """Two variables over one open iset inside one ternary constraint: one
     acquisition appends the same element to two pools at once."""
     rng = random.Random(seed)
-    engine = Engine()
+    engine = logged_engine()
     dz = engine.new_iset(rng.sample(range(1, 9), 3), open=False, name="dz")
     dshared = engine.new_iset([rng.randint(1, 8)], name="ds")
     values = [v for v in range(1, 13) if v not in engine.isets.known(dshared)]
@@ -102,7 +105,7 @@ def shared_iset(seed):
 def exhausted_source():
     """x in {9}; y's source runs dry before anything exceeds 9, z has no
     source at all: both exhausted replies arrive while a seek is pending."""
-    engine = Engine()
+    engine = logged_engine()
     dx = engine.new_iset([9], open=False, name="dx")
     dy = engine.new_iset(name="dy")
     dz = engine.new_iset([1], name="dz")
@@ -116,7 +119,7 @@ def exhausted_source():
 
 
 def queens(n):
-    engine = Engine()
+    engine = logged_engine()
     dom = engine.new_iset(range(n), open=False, name="rows")
     ids = [engine.new_fd_variable(dom, name=f"q{i}") for i in range(n)]
     for i in range(n):
@@ -214,5 +217,6 @@ PINNED = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_trace_is_pinned(case):
+def test_trace_is_pinned(case, monkeypatch):
+    monkeypatch.setattr(icsp.oracle, "Engine", logged_engine)  # for closed_csp
     assert CASES[case]() == PINNED[case]

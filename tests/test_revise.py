@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 
 from icsp import Inconsistency
-from icsp.fd import REMOVED, resolve_verifier
+from icsp.fd import resolve_verifier
 from icsp.oracle import ClosedCsp, ac3, build_engine
 
 from instances import random_closed_csp, random_nary_closed_csp
@@ -146,13 +146,14 @@ def revise_counts(engine):
     revise = engine._revise
 
     def counted(seed):
-        start = len(engine.transitions)
+        lost = [len(var.removed) for var in engine.variables]
         queued[seed.id] += 1
         try:
             return revise(seed)
         finally:
-            queued.update(vid for vid, _, _, new, _ in engine.transitions[start:]
-                          if new is REMOVED)
+            for var, before in zip(engine.variables, lost):
+                if len(var.removed) > before:
+                    queued[var.id] += len(var.removed) - before
 
     engine._revise = counted
     return queued, walks

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from icsp import Engine, ScriptedSource, Union
+from icsp import Engine, Inclusion, ScriptedSource, Union
 from icsp.oracle import build_engine
 
 from instances import (
@@ -76,6 +76,42 @@ def test_a_snapshot_with_an_event_still_queued_is_refused():
     engine.isets.ensure_member(iset, 2)  # queued, not drained
     with pytest.raises(AssertionError, match="quiescent"):
         engine._snapshot()
+
+
+def test_a_restore_drops_the_set_events_a_contradiction_left_queued():
+    # Binding y to 1 leaves x only 2, which z = 2 contradicts, so x's open
+    # domain da acquires 4. The first inclusion queues 4 for db, then the
+    # second finds 4 outside the closed dc. The restore must drop the
+    # queued insertion, or the snapshot for y = 2 finds the engine busy.
+    engine = Engine()
+    da = engine.new_iset([1, 2], name="da")
+    engine.register_source(da, ScriptedSource([4]))
+    db = engine.new_iset(name="db")
+    engine.post_iset_constraint(Inclusion(da, db))
+    dc = engine.new_iset([1, 2, 3], open=False, name="dc")
+    engine.post_iset_constraint(Inclusion(da, dc))
+    dyz = engine.new_iset([1, 2], open=False, name="dyz")
+    x, y, z = (engine.new_fd_variable(d, name=n) for d, n in ((da, "x"), (dyz, "y"), (dyz, "z")))
+    for p, q in ((x, y), (y, z), (x, z)):
+        engine.post_fd_constraint("ne", [p, q])
+    assert engine.solve() is True
+    assert label_audited(engine, [y, x, z])[0] is None
+    assert engine.isets.known(db) == {1, 2} and list(engine._replays[da]) == [4]
+
+
+def test_solve_keeps_no_replay_queue():
+    # Only search undoes an acquisition, so only search needs a queue.
+    engine = Engine()
+    ids = []
+    for i in range(4):
+        iset = engine.new_iset([0], name=f"d{i}")
+        engine.register_source(iset, ScriptedSource(range(1, 6)))
+        ids.append(engine.new_fd_variable(iset, name=f"x{i}"))
+    for a, b in zip(ids, ids[1:]):
+        engine.post_fd_constraint("lt", [a, b])
+    assert engine.solve() is True
+    assert len(engine.acquisitions) > 4
+    assert engine._replays == {}
 
 
 def test_restores_are_exact_on_random_closed_csps():

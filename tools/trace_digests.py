@@ -5,11 +5,11 @@ and one per slot.
 
 icsp is imported from the src/ directory of the checkout that holds this
 file, and the instance lists from its bench/workloads.py, which is only
-read. Every
-instance of lazy_chain, closed_search and set_network is built and run to
-its verdict once, untimed and unchecked. Its record is the verdict
-outcome plus the engine's trace, transition log and acquisition log; an
-instance that raises is recorded by its exception type alone. Two
+read. Every instance of lazy_chain, closed_search and set_network is built
+and run to its verdict once, untimed and unchecked. Its record is the
+verdict outcome plus the engine's trace, transition log (which each engine
+keeps here, from its first move) and acquisition log; an instance that
+raises is recorded by its exception type alone. Two
 checkouts that print the same digests made the same choices on every
 instance: the same supports, removals and acquisitions in the same order.
 
@@ -60,6 +60,7 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
 
     def new_engine():
         engine = Engine()
+        engine.transitions = []  # keep the log, from the engine's first move
         post_fd_constraint = engine.post_fd_constraint
         register_source = engine.register_source
         isets = engine.isets
