@@ -6,8 +6,6 @@ nothing left. Exhaustion closes the iset. Sources are invoked synchronously
 on the engine's thread and must not call back into the engine.
 """
 
-from __future__ import annotations
-
 import operator
 import sys
 from dataclasses import dataclass

@@ -24,8 +24,6 @@ error, a problem file that cannot be read as UTF-8 text, or a source that
 breaks its contract (SourceContractError).
 """
 
-from __future__ import annotations
-
 import argparse
 import re
 import sys
@@ -293,7 +291,3 @@ def main(argv=None) -> int:
     except SourceContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

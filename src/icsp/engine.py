@@ -22,8 +22,6 @@ lists never shrink during propagation.
 One engine instance is single-threaded; callers must serialize access.
 """
 
-from __future__ import annotations
-
 from collections import deque
 from copy import copy
 from itertools import islice, product
@@ -150,7 +148,7 @@ class Engine:
         return self.variables[vid]
 
     def post_fd_constraint(self, name: str, args: Sequence[int],
-                           verifier: "Callable[[list], bool] | None" = None) -> int:
+                           verifier: Callable[[list], bool] | None = None) -> int:
         """Register a constraint over the given variables.
 
         With verifier=None the name must resolve to a built-in; otherwise
@@ -347,7 +345,8 @@ class Engine:
         checked first, to completion, before the next: the depth-first
         order of a recursive check, which fixes the trace. A cascade may
         remove a pair whose frame is still waiting; the state guard detects
-        that."""
+        that, and so pops the frame of a pair found unsupported too, once
+        the frames pushed above it for its dependents are done."""
         variables = self.variables
         stack = [(var, element, iter(var.arcs))]
         while stack:
@@ -360,7 +359,6 @@ class Engine:
             if newly is not None:
                 stack.extend((w, x, iter(w.arcs)) for w, x in reversed(newly))
                 continue
-            stack.pop()
             dependents = self.graph.dependents((var.id, element))
             self._move(var, element, REMOVED)
             stack.extend((variables[d], x, iter((arc,)))

@@ -19,8 +19,6 @@ to that of its new one and logs it, tagged with its phase. A pair's state
 and the list that holds its element therefore never disagree.
 """
 
-from __future__ import annotations
-
 import operator
 import re
 from collections import deque

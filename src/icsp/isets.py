@@ -21,8 +21,6 @@ never None, which marks a closure. Every public route by which an element
 enters a set checks it (see is_element).
 """
 
-from __future__ import annotations
-
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -121,7 +119,6 @@ class IsetConstraint:
     backtracks.
     """
 
-    ARITY = 0
     INSERTED: tuple = ()  # positions in self.isets
     CLOSED: tuple = ()
     sets: tuple = ()  # the Iset records of self.isets, set by IsetStore.post
@@ -163,7 +160,11 @@ class Member(IsetConstraint):
 
 
 class Inclusion(IsetConstraint):
-    """a ⊆ b."""
+    """a ⊆ b.
+
+    Each element of a is forwarded to b when its insertion event arrives,
+    so an element that b lacks when b closes raises there, in _insert.
+    """
 
     ARITY, INSERTED, CLOSED = 2, (0,), (1,)
 
@@ -174,12 +175,6 @@ class Inclusion(IsetConstraint):
 
     def on_closed(self, store, iset):
         a, b = self.sets
-        missing = a.known.keys() - b.known.keys()
-        if missing:
-            raise Inconsistency(
-                f"{a.name} ⊆ {b.name} violated: "
-                f"{sorted(missing, key=element_sort_key)} missing from closed superset"
-            )
         self._maybe_close_left(store, a, b)
 
     @staticmethod
@@ -334,6 +329,8 @@ class IsetStore:
         self._on_inserted: list[list[IsetConstraint]] = []
         self._on_closed: list[list[IsetConstraint]] = []
         self.queue: deque = deque()  # (iset, element), or (iset, None) for a closure
+        # The insertions fixpoint has drained and not yet handed over.
+        self.drained: list = []
         # The event trace: the store appends INSERT and CLOSE, and the engine
         # that owns the store, as Engine.trace, every other entry.
         self.trace: list = []
@@ -456,22 +453,30 @@ class IsetStore:
         """Drain the event queue FIFO until quiescent, handing each event
         to the constraints watching it, in posting order.
 
-        Returns the insertions drained this round, (iset, element) pairs in
-        drain order, for the engine to convert into candidates. Terminates:
-        each (iset, element) insertion and each closure happens at most
-        once and the constraint store only grows.
+        Returns the insertions drained since the last call returned,
+        (iset, element) pairs in drain order, for the engine to convert
+        into candidates. An event leaves the queue only after its last
+        handler returns, and drained insertions wait in self.drained until
+        they are returned, so a handler that raises loses nothing: the next
+        call delivers that event again, to every handler (see
+        IsetConstraint on idempotence), and returns the insertions drained
+        before the fault too. Terminates: each (iset, element) insertion
+        and each closure happens at most once and the constraint store
+        only grows.
         """
-        drained = []
+        drained = self.drained
         queue, on_inserted, on_closed = self.queue, self._on_inserted, self._on_closed
         while queue:
-            event = iset, element = queue.popleft()
+            event = iset, element = queue[0]
             if element is None:
                 for constraint in on_closed[iset]:
                     constraint.on_closed(self, iset)
             else:
-                drained.append(event)
                 for constraint in on_inserted[iset]:
                     constraint.on_inserted(self, iset, element)
+                drained.append(event)
+            queue.popleft()
+        self.drained = []
         return drained
 
     # ------------------------------------------------------------------
@@ -496,3 +501,4 @@ class IsetStore:
             undo, *args = trail.pop()
             undo(*args)
         self.queue.clear()
+        self.drained.clear()

@@ -9,8 +9,6 @@ on inconsistency, the engine's surviving sub-domains being arc-consistent
 (not necessarily maximal) whenever both succeed.
 """
 
-from __future__ import annotations
-
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -18,13 +16,12 @@ from typing import Callable, Sequence
 
 from .engine import Engine
 
-# (name, argument keys, verifier over ground tuples)
-Constraint = tuple
-
 
 @dataclass
 class ClosedCsp:
-    """A classical CSP: every domain fully known and non-empty."""
+    """A classical CSP: every domain fully known and non-empty. Each
+    constraint is a (name, argument keys, verifier over ground tuples)
+    triple."""
 
     domains: dict
     constraints: list
@@ -67,7 +64,7 @@ def _supported(domains: dict, key, value, args: Sequence, verifier: Callable) ->
     return False
 
 
-def _revise(domains: dict, key, constraint: Constraint) -> bool:
+def _revise(domains: dict, key, constraint: tuple) -> bool:
     _name, args, verifier = constraint
     keep = [v for v in domains[key] if _supported(domains, key, v, args, verifier)]
     if len(keep) == len(domains[key]):

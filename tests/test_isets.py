@@ -400,6 +400,39 @@ def test_union_both_closed_completes_and_checks():
         store.post(Union(a, b, c))  # 7 can be in neither side
 
 
+@pytest.mark.parametrize("first, second", [(0, 1), (1, 0)])
+def test_union_closure_completes_the_result_before_an_operand_insertion_leaves_the_queue(
+        first, second):
+    # The second operand's closure event reaches Union when both operands
+    # are closed but the first one's insertion of 1 is still queued, so c
+    # lacks 1: that closure must put it into c before it closes c.
+    store = IsetStore()
+    sets = [store.new_iset(name=n) for n in "abc"]
+    store.post(Union(*sets))
+    store.close(sets[second])
+    store.ensure_member(sets[first], 1)
+    store.close(sets[first])
+    store.fixpoint()
+    assert store.known(sets[2]) == {1} and store.is_closed(sets[2])
+
+
+def test_intersection_closure_completes_the_result_before_an_operand_insertion_leaves_the_queue():
+    # Union puts 1 into a and closes a. b's closure event reaches
+    # Intersection while a's insertion of 1 is still queued, so c lacks 1:
+    # that closure must put it into c before it closes c.
+    store = IsetStore()
+    a, b, c, p, q = (store.new_iset(name=n) for n in "abcpq")
+    store.post(Intersection(a, b, c))
+    store.post(Union(p, q, a))
+    store.ensure_member(b, 1)
+    store.close(q)
+    store.ensure_member(p, 1)
+    store.close(p)
+    store.close(b)
+    store.fixpoint()
+    assert store.known(c) == {1} and store.is_closed(c)
+
+
 def test_difference_result_insert_flows_left_and_blocks_subtrahend():
     store = IsetStore()
     a = store.new_iset()

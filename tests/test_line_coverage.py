@@ -40,10 +40,6 @@ def test_reports_the_statements_a_run_never_reached(tmp_path):
     spec = importlib.util.spec_from_file_location("mod", path)
     module = importlib.util.module_from_spec(spec)
 
-    def run():
-        spec.loader.exec_module(module)
-        return module.sign(2)
-
     def outer(_frame, _event, _arg):
         return None
 
@@ -51,7 +47,9 @@ def test_reports_the_statements_a_run_never_reached(tmp_path):
     saved = sys.gettrace()
     sys.settrace(outer)
     try:
-        result, executed = line_coverage.trace_lines(tmp_path, run)
+        with line_coverage.tracing(tmp_path) as executed:
+            spec.loader.exec_module(module)
+            result = module.sign(2)
         restored = sys.gettrace()
     finally:
         sys.settrace(saved)

@@ -245,6 +245,26 @@ def test_interactive_source_parses_elements_and_none():
     assert "cannot parse element 'foo bar'" in prompts
 
 
+def test_interactive_source_flushes_its_prompt_before_it_reads():
+    calls = []
+
+    class Logged(io.StringIO):
+        def write(self, text):
+            calls.append("write")
+            return super().write(text)
+
+        def flush(self):
+            calls.append("flush")
+
+        def readline(self, *args):
+            calls.append("readline")
+            return super().readline(*args)
+
+    src = InteractiveSource("d", input_stream=Logged("5\n"), output_stream=Logged())
+    assert src.next(0, AcquisitionContext()) == 5
+    assert calls == ["write", "flush", "readline"]
+
+
 def test_interactive_source_eof_means_exhausted():
     src = InteractiveSource("d", input_stream=io.StringIO(""), output_stream=io.StringIO())
     assert src.next(0, AcquisitionContext()) is None

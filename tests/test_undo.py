@@ -5,19 +5,22 @@ full copy of the engine that search used to take at each node: after each
 restore the state must equal the copy taken at the matching snapshot.
 """
 
+import contextlib
 import random
 from collections import Counter
 
 import pytest
 
-from icsp import Engine, Inclusion, ScriptedSource, Union
+from icsp import Engine, Inclusion, Inconsistency, IsetStore, Member, ScriptedSource, Union
 from icsp.oracle import build_engine
 
 from instances import (
+    ISETC_CLASSES,
     engine_kac_holds,
     engine_state,
     pair_place_errors,
     random_closed_csp,
+    random_iset_instance,
     random_nary_closed_csp,
     random_open_engine,
 )
@@ -97,6 +100,22 @@ def test_a_restore_drops_the_set_events_a_contradiction_left_queued():
     assert engine.solve() is True
     assert label_audited(engine, [y, x, z])[0] is None
     assert engine.isets.known(db) == {1, 2} and list(engine._replays[da]) == [4]
+
+
+def test_a_restore_drops_the_insertions_a_contradiction_left_drained():
+    # The insertion of 1 into a is drained and passes 1 on to b, whose own
+    # event then finds 1 outside the closed c. Undoing the insertions must
+    # drop the drained one too, or the next fixpoint hands it over.
+    store = IsetStore()
+    a, b, c = store.new_iset(), store.new_iset(), store.new_iset([2], open=False)
+    store.post(Inclusion(a, b))
+    store.post(Inclusion(b, c))
+    store.trail = []
+    store.ensure_member(a, 1)
+    with pytest.raises(Inconsistency):
+        store.fixpoint()
+    store.set_state(0)
+    assert store.known(a) == set() and store.fixpoint() == []
 
 
 def test_solve_keeps_no_replay_queue():
@@ -201,13 +220,14 @@ def test_an_exhausted_label_restores_its_entry_state():
 
 
 class Armed(Exception):
-    """What an armed verifier or source raises."""
+    """What an armed verifier, source or set handler raises."""
 
 
 def count_calls(engine, kind, tally):
-    """Wrap every verifier (kind "verify") or every source (kind "source")
-    of the engine: each call adds one to tally["calls"], and the call whose
-    number is tally["raise_at"] raises Armed instead of answering."""
+    """Wrap every verifier (kind "verify"), every source (kind "source") or
+    every set constraint's two handlers (kind "handler") of the engine:
+    each call adds one to tally["calls"], and the call whose number is
+    tally["raise_at"] raises Armed instead of answering."""
     def wrap(call):
         def counted(*args):
             tally["calls"] += 1
@@ -219,9 +239,21 @@ def count_calls(engine, kind, tally):
     if kind == "verify":
         for constraint in engine.fd_constraints():
             constraint.verify = wrap(constraint.verify)
-    else:
+    elif kind == "source":
         for source in engine._sources.values():
             source.next = wrap(source.next)
+    else:
+        store = engine.isets
+        for constraint in {id(c): c for watching in store._on_inserted + store._on_closed
+                           for c in watching}.values():
+            constraint.on_inserted = wrap(constraint.on_inserted)
+            constraint.on_closed = wrap(constraint.on_closed)
+
+
+def sets_of(engine):
+    """Each iset's known part and whether it is closed."""
+    store = engine.isets
+    return [(store.known(i), store.is_closed(i)) for i in range(len(store._isets))]
 
 
 def open_instance(seed):
@@ -295,21 +327,47 @@ def open_engine(seed):
     return random_open_engine(random.Random(seed))
 
 
-@pytest.mark.parametrize("build, kind, closed, least", [
-    (closed_instance, "verify", True, 500),
-    (nary_closed_instance, "verify", True, 950),
-    (open_engine, "verify", False, 350),
-    (open_engine, "source", False, 150),
+def iset_engine(seed):
+    """random_iset_instance(seed) as an engine with one variable per iset,
+    its insertions queued and each set still open then closed with
+    probability 1/2, all before solve()."""
+    rng = random.Random(seed)
+    sets, constraints, insertions = random_iset_instance(rng)
+    engine = Engine()
+    ids = [engine.new_iset(initial, open=is_open) for initial, is_open in sets]
+    for iset in ids:
+        engine.new_fd_variable(iset)
+    with contextlib.suppress(Inconsistency):
+        for kind, args in constraints:
+            if kind == "member":
+                engine.post_iset_constraint(Member(args[0], ids[args[1]]))
+            else:
+                engine.post_iset_constraint(ISETC_CLASSES[kind](*(ids[i] for i in args)))
+        for iset, element in insertions:
+            engine.isets.ensure_member(ids[iset], element)
+        for iset in ids:
+            if not engine.isets.is_closed(iset) and rng.random() < 0.5:
+                engine.isets.close(iset)
+    return engine, ids
+
+
+@pytest.mark.parametrize("build, kind, closed, seeds, least", [
+    (closed_instance, "verify", True, 40, 500),
+    (nary_closed_instance, "verify", True, 40, 950),
+    (open_engine, "verify", False, 40, 350),
+    (open_engine, "source", False, 40, 150),
+    (iset_engine, "handler", True, 400, 1300),
 ])
-def test_an_exception_inside_solve_leaves_the_next_solve_exact(build, kind, closed, least):
+def test_an_exception_inside_solve_leaves_the_next_solve_exact(build, kind, closed, seeds,
+                                                               least):
     # solve() takes nothing back: an exception other than Inconsistency
-    # leaves behind it whatever the run had done, pairs under check
-    # included. For each of the first 25 calls of the given kind that an
-    # uninterrupted solve() makes, a twin raises at that call; its next
-    # solve() must re-check what the raise left and end where the
+    # leaves behind it whatever the run had done, pairs under check and
+    # set events included. For each of the first 25 calls of the given
+    # kind that an uninterrupted solve() makes, a twin raises at that call;
+    # its next solve() must re-check what the raise left and end where the
     # uninterrupted run ended.
     raised = 0
-    for seed in range(40):
+    for seed in range(seeds):
         reference, _ = build(seed)
         tally: Counter = Counter()
         count_calls(reference, kind, tally)
@@ -327,5 +385,6 @@ def test_an_exception_inside_solve_leaves_the_next_solve_exact(build, kind, clos
             if closed:
                 assert ([set(v.present) for v in engine.variables]
                         == [set(v.present) for v in reference.variables]), f"seed {seed} call {k}"
+                assert sets_of(engine) == sets_of(reference), f"seed {seed} call {k}"
             raised += 1
     assert raised >= least

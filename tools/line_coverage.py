@@ -17,6 +17,7 @@ import ast
 import os
 import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from pathlib import Path
 
 from code_lines import docstring_lines
@@ -33,10 +34,11 @@ def statement_lines(source: str) -> set:
     return lines - docstring_lines(tree)
 
 
-def trace_lines(directory: Path, run) -> "tuple[object, dict]":
-    """Call run() with the lines it executes in files under directory
-    recorded. Returns what run returned and {file name: set of line
-    numbers}."""
+@contextmanager
+def tracing(directory: Path):
+    """Record, while the block runs, the lines it executes in files under
+    directory: yields {file name: set of line numbers}, filled as they
+    run."""
     prefix = os.path.join(Path(directory).resolve(), "")
     executed: defaultdict = defaultdict(set)
 
@@ -53,10 +55,9 @@ def trace_lines(directory: Path, run) -> "tuple[object, dict]":
     previous = sys.gettrace()  # a traced run may call this again
     sys.settrace(trace_call)
     try:
-        result = run()
+        yield executed
     finally:
         sys.settrace(previous)
-    return result, executed
 
 
 def report(directory: Path, executed: dict, out=None) -> int:
@@ -81,8 +82,8 @@ def main() -> int:
     import pytest
 
     sys.path.insert(0, str(SOURCE.parent))
-    code, executed = trace_lines(SOURCE, lambda: pytest.main(
-        ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]))
+    with tracing(SOURCE) as executed:
+        code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     report(SOURCE, executed)
     return int(code)
 
