@@ -45,13 +45,21 @@ from .fd import (
 )
 from .isets import Element, IsetConstraint, IsetStore, is_element
 
-_SEARCH_ALLOWED = ALLOWED_TRANSITIONS | SEARCH_TRANSITIONS
 
-# The variable's list that each state but unknown names, and the trace tag
-# of a move into that state.
-_PLACES = {CANDIDATE: "candidates", OBSERVED: "observed", PRESENT: "present",
-           REMOVED: "removed"}
-_TAGS = {CANDIDATE: "CANDIDATE", OBSERVED: "OBSERVE", PRESENT: "PRESENT", REMOVED: "REMOVE"}
+def _steps(moves: set) -> dict:
+    """The step table of a phase: (old, new) -> (source, target, tag) for
+    each move it permits. source and target name the variable's lists that
+    the old and the new state name, source None for unknown, and tag is the
+    trace tag of a move into new."""
+    places = {UNKNOWN: None, CANDIDATE: "candidates", OBSERVED: "observed",
+              PRESENT: "present", REMOVED: "removed"}
+    tags = {CANDIDATE: "CANDIDATE", OBSERVED: "OBSERVE", PRESENT: "PRESENT",
+            REMOVED: "REMOVE"}
+    return {(old, new): (places[old], places[new], tags[new]) for old, new in moves}
+
+
+_PROP_STEPS = _steps(ALLOWED_TRANSITIONS)
+_SEARCH_STEPS = _steps(ALLOWED_TRANSITIONS | SEARCH_TRANSITIONS)
 
 # The transition log of an engine that no reader gave one: always empty, it
 # drops whatever is appended to it, and _move builds no record for it.
@@ -346,7 +354,9 @@ class Engine:
         order of a recursive check, which fixes the trace. A cascade may
         remove a pair whose frame is still waiting; the state guard detects
         that, and so pops the frame of a pair found unsupported too, once
-        the frames pushed above it for its dependents are done."""
+        the frames pushed above it for its dependents are done. A seek that
+        observes no candidate, an all-present support among them, pushes
+        nothing, and neither does a removal that no pair relied on."""
         variables = self.variables
         stack = [(var, element, iter(var.arcs))]
         while stack:
@@ -356,23 +366,28 @@ class Engine:
                 stack.pop()
                 continue
             newly = self._seek_support(var, element, arc)
-            if newly is not None:
+            if newly:
                 stack.extend((w, x, iter(w.arcs)) for w, x in reversed(newly))
-                continue
-            dependents = self.graph.dependents((var.id, element))
-            self._move(var, element, REMOVED)
-            stack.extend((variables[d], x, iter((arc,)))
-                         for (d, x), arc in reversed(dependents))
+            elif newly is None:
+                dependents = self.graph.dependents((var.id, element))
+                self._move(var, element, REMOVED)
+                if dependents:
+                    stack.extend((variables[d], x, iter((arc,)))
+                                 for (d, x), arc in reversed(dependents))
 
     def _seek_support(self, var: FdVariable, element: Element,
-                      arc: tuple) -> "list | None":
+                      arc: tuple) -> "list | tuple | None":
         """Find a satisfying tuple for the pair under the arc's constraint.
 
         An all-present tuple needs no bookkeeping; any other supporter is
         recorded with a reliance arc, and candidate supporters are observed.
         Returns those newly observed (variable, element) pairs, for the
         caller to check, or None when there is no tuple even after
-        acquiring: the pair is unsupported.
+        acquiring: the pair is unsupported. An all-present support builds
+        no list and records no RELY entry. It touches the support graph
+        only to drop the reliance arcs that the pair had under the
+        constraint, if any, and it returns the empty tuple, for which the
+        caller pushes no frame.
 
         Unlike _revise, this search takes no shortcut through a residue: an
         all-present residue would be accepted where the enumeration order
@@ -383,12 +398,14 @@ class Engine:
         support = self._find_or_acquire(element, arc)
         if support is None:
             return None
-        supporters, newly, name = [], [], constraint.name
+        supporters = newly = ()
         for w, x in zip(others, support):
             wvar = self.variables[w]
             state = wvar.states[x]
             if state is PRESENT:
                 continue
+            if not supporters:
+                supporters, newly, name = [], [], constraint.name
             if state is CANDIDATE:
                 self._move(wvar, x, OBSERVED)
                 newly.append((wvar, x))
@@ -396,7 +413,9 @@ class Engine:
             self.trace.append(
                 ("RELY", (var.name, element), (wvar.name, x), name)
             )
-        self.graph.set_supporters((var.id, element), arc, supporters)
+        pair, graph = (var.id, element), self.graph
+        if supporters or (pair, constraint) in graph._supporters:
+            graph.set_supporters(pair, arc, supporters)
         return newly
 
     def _find_or_acquire(self, element: Element, arc: tuple) -> "tuple | None":
@@ -518,35 +537,38 @@ class Engine:
         """Move one (variable, element) pair to state new: the one place
         where a pair changes state.
 
-        The move is checked against the transitions permitted in the
-        current phase. The phase is search, which permits more, while
-        search keeps a trail, and for a variable that a successful label()
-        left bound. The element leaves the list of its old state (source;
-        an unknown pair is in none) and joins the end of that of the new
-        one (target), each found through _PLACES. The support graph is
-        touched only to append a newly observed pair to its nodes; a pair
-        removed while observed keeps its arcs (see SupportGraph). The trace
-        gets one entry, the transition log one when a reader attached it,
-        and in search the trail gets the record that _unmove undoes the
-        move with."""
+        The move is looked up in the step table of the current phase,
+        _PROP_STEPS or _SEARCH_STEPS, and a move that the table lacks
+        raises before anything changes. The phase is search, which permits
+        more, while search keeps a trail, and for a variable that a
+        successful label() left bound. The element leaves the list of its
+        old state (source; an unknown pair is in none) and joins the end of
+        that of the new one (target), both named by the table, as is the
+        trace tag. The support graph is touched only to append a newly
+        observed pair to its nodes; a pair removed while observed keeps its
+        arcs (see SupportGraph). The trace gets one entry, the transition
+        log one when a reader attached it, and in search the trail gets the
+        record that _unmove undoes the move with."""
         old = var.states.get(element, UNKNOWN)
         trail = self.isets.trail
         if trail is None and var.bound_to is None:
-            phase, allowed = "prop", ALLOWED_TRANSITIONS
+            phase, steps = "prop", _PROP_STEPS
         else:
-            phase, allowed = "search", _SEARCH_ALLOWED
-        if (old, new) not in allowed:
+            phase, steps = "search", _SEARCH_STEPS
+        try:
+            source, target, tag = steps[old, new]
+        except KeyError:
             raise AssertionError(
                 f"illegal {phase} transition {old.value}->{new.value} "
                 f"for ({var.name},{element!r})"
-            )
-        if old is UNKNOWN:
-            source = index = None
+            ) from None
+        if source is None:
+            index = None
         else:
-            source = getattr(var, _PLACES[old])
+            source = getattr(var, source)
             index = source.index(element)
             del source[index]
-        target = getattr(var, _PLACES[new])
+        target = getattr(var, target)
         target.append(element)
         if new is OBSERVED:
             self.graph.nodes.append((var.id, element))
@@ -556,7 +578,7 @@ class Engine:
         log = self.transitions
         if log is not _UNLOGGED:
             log.append((var.id, element, old, new, phase))
-        self.trace.append((_TAGS[new], var.name, element))
+        self.trace.append((tag, var.name, element))
 
     @staticmethod
     def _unmove(var: FdVariable, element: Element, old: PairState,

@@ -65,7 +65,7 @@ class FdVariable:
         # and its iset id (see Engine.new_fd_variable).
         self.domain = domain
         self.def_domain = domain.id
-        # One list per state but unknown, named after it: see engine._PLACES.
+        # One list per state but unknown, named after it: see engine._steps.
         self.present: list = []
         self.removed: list = []
         self.candidates: deque = deque()

@@ -2,12 +2,15 @@
 
 Each test implements one exit criterion at its stated size and tolerance
 and prints one pass line on success (run with -s to see them live; a
-failure shows up as an ordinary pytest failure). Transition logs from the
-scenario criteria are pooled and audited by the final criterion.
+failure shows up as an ordinary pytest failure). The engines of the
+scenario criteria come from one module-scoped fixture, and the final
+criterion audits their transition logs.
 """
 
 import random
 import time
+
+import pytest
 
 from icsp import ScriptedSource
 
@@ -25,18 +28,46 @@ from instances import (
 )
 from icsp.oracle import compare_kac_ac
 
-_AUDITED_ENGINES = []
-
 
 def _passed(n, text):
     print(f"\nacceptance criterion {n}: PASS ({text})")
 
 
-def test_criterion_1_golden_walkthrough():
-    started = time.perf_counter()
-    eng, (dx, dy, dz), (x, y, z) = golden_engine()
-    assert eng.solve() is True
-    elapsed = time.perf_counter() - started
+def _lazy_counts_engine():
+    """Two variables over empty open domains, one order constraint, and
+    two scripted suppliers holding 11 elements each."""
+    eng = logged_engine()
+    dx = eng.new_iset(name="dx")
+    dz = eng.new_iset(name="dz")
+    x = eng.new_fd_variable(dx, name="x")
+    z = eng.new_fd_variable(dz, name="z")
+    eng.post_fd_constraint("gt", [z, x])
+    dx_source = ScriptedSource([1] + list(range(101, 111)))  # 11 elements held
+    dz_source = ScriptedSource([2] + list(range(201, 211)))
+    eng.register_source(dx, dx_source)
+    eng.register_source(dz, dz_source)
+    return eng, (dx, dz), (x, z), (dx_source, dz_source)
+
+
+@pytest.fixture(scope="module")
+def scenario_engines():
+    """The scenario engines of criteria 1, 4 and 6, by criterion, each
+    built and solved once per module run. Those criteria check them, and
+    criterion 8 audits their transition logs, so the audit sees the same
+    engines whichever tests run, in whatever order. Each entry is (what
+    the builder returned, solve()'s verdict, seconds to build and solve)."""
+    def solved(build):
+        started = time.perf_counter()
+        built = build()
+        verdict = built[0].solve()
+        return built, verdict, time.perf_counter() - started
+
+    return {1: solved(golden_engine), 4: solved(golden_engine), 6: solved(_lazy_counts_engine)}
+
+
+def test_criterion_1_golden_walkthrough(scenario_engines):
+    (eng, (dx, dy, dz), (x, y, z)), verdict, elapsed = scenario_engines[1]
+    assert verdict is True
     assert eng.present(x) == [1] and eng.removed(x) == [2]
     assert eng.present(y) == [2] and eng.removed(y) == []
     assert eng.present(z) == [2] and eng.removed(z) == []
@@ -47,7 +78,6 @@ def test_criterion_1_golden_walkthrough():
     assert eng.acquisitions[-1][2] is None  # the second dz call was the exhausted reply
     assert elapsed < 1.0
     assert engine_kac_holds(eng)  # feeds criterion 4
-    _AUDITED_ENGINES.append(eng)
     _passed(1, f"exact domains, 3 acquisitions, {elapsed * 1000:.0f} ms")
 
 
@@ -80,13 +110,12 @@ def test_criterion_3_differential_against_ac3():
     _passed(3, f"{seeds} seeds agree, {elapsed:.1f} s")
 
 
-def test_criterion_4_known_arc_consistency_at_quiescence():
-    # scenario engines from criteria 1-2 (criterion 3 asserts the property
-    # inside compare_kac_ac for every quiescent instance)
-    eng, _isets, _vars = golden_engine()
-    assert eng.solve() is True
+def test_criterion_4_known_arc_consistency_at_quiescence(scenario_engines):
+    # a scenario engine like criterion 1's (criterion 3 asserts the
+    # property inside compare_kac_ac for every quiescent instance)
+    (eng, _isets, _vars), verdict, _elapsed = scenario_engines[4]
+    assert verdict is True
     assert engine_kac_holds(eng)
-    _AUDITED_ENGINES.append(eng)
 
     instances = 500
     quiescent = 0
@@ -114,18 +143,9 @@ def test_criterion_5_closed_world_set_algebra():
     _passed(5, f"{per_kind} instances per constraint kind, 0 violations")
 
 
-def test_criterion_6_lazy_acquisition_counts():
-    eng = logged_engine()
-    dx = eng.new_iset(name="dx")
-    dz = eng.new_iset(name="dz")
-    x = eng.new_fd_variable(dx, name="x")
-    z = eng.new_fd_variable(dz, name="z")
-    eng.post_fd_constraint("gt", [z, x])
-    dx_source = ScriptedSource([1] + list(range(101, 111)))  # 11 elements held
-    dz_source = ScriptedSource([2] + list(range(201, 211)))
-    eng.register_source(dx, dx_source)
-    eng.register_source(dz, dz_source)
-    assert eng.solve() is True
+def test_criterion_6_lazy_acquisition_counts(scenario_engines):
+    (eng, (dx, dz), (x, z), (dx_source, dz_source)), verdict, _elapsed = scenario_engines[6]
+    assert verdict is True
     # hand trace: x needs one element; its check forces exactly one element
     # of z, which the first supplies; nothing else is ever pulled
     assert eng.acquisitions == [(dx, x, 1), (dz, z, 2)]
@@ -133,7 +153,6 @@ def test_criterion_6_lazy_acquisition_counts():
     assert dz_source.calls_served() == 1
     assert eng.present(x) == [1] and eng.present(z) == [2]
     assert engine_kac_holds(eng)
-    _AUDITED_ENGINES.append(eng)
     _passed(6, "exactly 2 of the 22 held elements were acquired")
 
 
@@ -148,10 +167,9 @@ def test_criterion_7_order_independence():
     _passed(7, f"{instances} instances invariant under 4 reorderings each")
 
 
-def test_criterion_8_state_machine_audit():
-    assert _AUDITED_ENGINES, "scenario criteria must run before the audit"
+def test_criterion_8_state_machine_audit(scenario_engines):
     total = 0
-    for engine in _AUDITED_ENGINES:
+    for (engine, *_parts), _verdict, _elapsed in scenario_engines.values():
         assert audit_transitions(engine) == []
         assert all(phase == "prop" for *_rest, phase in engine.transitions)
         total += len(engine.transitions)

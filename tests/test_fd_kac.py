@@ -137,6 +137,66 @@ def test_an_illegal_move_raises_before_changing_anything():
             list(var.candidates), list(eng.trace), list(eng.transitions)) == before
 
 
+_S = PairState
+_LISTS = {_S.CANDIDATE: "candidates", _S.OBSERVED: "observed", _S.PRESENT: "present",
+          _S.REMOVED: "removed"}
+_TAGS = {_S.CANDIDATE: "CANDIDATE", _S.OBSERVED: "OBSERVE", _S.PRESENT: "PRESENT",
+         _S.REMOVED: "REMOVE"}
+_PROP_MOVES = {(_S.UNKNOWN, _S.CANDIDATE), (_S.CANDIDATE, _S.OBSERVED),
+               (_S.OBSERVED, _S.PRESENT), (_S.OBSERVED, _S.REMOVED)}
+_SEARCH_MOVES = _PROP_MOVES | {(_S.PRESENT, _S.REMOVED), (_S.CANDIDATE, _S.REMOVED)}
+
+
+@pytest.mark.parametrize("phase", ["prop", "search"])
+@pytest.mark.parametrize("old", list(PairState), ids=lambda s: s.value)
+@pytest.mark.parametrize("new", list(PairState), ids=lambda s: s.value)
+def test_every_move_follows_the_step_table_of_its_phase(phase, old, new):
+    # The element 1 starts in state old, first in its list, behind nothing
+    # and ahead of a filler element in every list. A legal move takes it
+    # out of its old list, to the end of its new one, and logs one trace
+    # entry and one transition record; in search its trail record undoes
+    # it. An illegal move raises and changes nothing.
+    eng = logged_engine()
+    v = eng.new_fd_variable(eng.new_iset(name="d"), name="v")
+    var = eng.variable(v)
+    for filler, state in enumerate(_LISTS, start=10):
+        getattr(var, _LISTS[state]).append(filler)
+        var.states[filler] = state
+    if old is not _S.UNKNOWN:
+        getattr(var, _LISTS[old]).insert(0, 1)
+        var.states[1] = old
+    if phase == "search":
+        eng.isets.trail = []
+
+    def seen():
+        return ({name: list(getattr(var, name)) for name in _LISTS.values()},
+                dict(var.states), list(eng.graph.nodes), list(eng.trace),
+                list(eng.transitions), list(eng.isets.trail or ()))
+
+    before = seen()
+    if (old, new) not in (_PROP_MOVES if phase == "prop" else _SEARCH_MOVES):
+        with pytest.raises(AssertionError) as raised:
+            eng._move(var, 1, new)
+        assert str(raised.value) == f"illegal {phase} transition {old.value}->{new.value} for (v,1)"
+        assert seen() == before
+        return
+    eng._move(var, 1, new)
+    lists, states, nodes, trace, transitions, trail = seen()
+    for state, name in _LISTS.items():
+        want = [x for x in before[0][name] if x != 1] + [1] * (state is new)
+        assert lists[name] == want, name
+    assert states == {**before[1], 1: new}
+    assert nodes == before[2] + [(v, 1)] * (new is _S.OBSERVED)
+    assert trace == before[3] + [(_TAGS[new], "v", 1)]
+    assert transitions == [(v, 1, old, new, phase)]
+    if phase == "prop":
+        assert trail == []
+        return
+    assert len(trail) == 1
+    eng.isets.set_state(0)
+    assert seen()[:2] == before[:2]
+
+
 def test_only_an_attached_list_keeps_the_transition_log():
     # The default log stays empty through solve() and label(). A list
     # attached before the first move gets one record per move, in the
