@@ -61,10 +61,6 @@ def _steps(moves: set) -> dict:
 _PROP_STEPS = _steps(ALLOWED_TRANSITIONS)
 _SEARCH_STEPS = _steps(ALLOWED_TRANSITIONS | SEARCH_TRANSITIONS)
 
-# The transition log of an engine that no reader gave one: always empty, it
-# drops whatever is appended to it, and _move builds no record for it.
-_UNLOGGED = deque(maxlen=0)
-
 
 def _first_support(verify, element: Element, k: int, pool: Iterable) -> "Element | None":
     """The first x of pool that supports element on a binary arc over two
@@ -83,15 +79,16 @@ def _first_support(verify, element: Element, k: int, pool: Iterable) -> "Element
 
 
 class Engine:
+    # The engine keeps no transition log: the trace has one entry per move.
+    # bench/tracing.py still reads len(engine.transitions); this goes when
+    # ROADMAP item 1 drops that read.
+    transitions = ()
+
     def __init__(self):
         self.isets = IsetStore()
         self.trace = self.isets.trace
         self.variables: list[FdVariable] = []
         self.graph = SupportGraph()
-        # (var id, element, from, to, phase) per move, phase "prop" or
-        # "search". Kept only in a list a reader attaches before the first
-        # move (engine.transitions = []); see _UNLOGGED.
-        self.transitions = _UNLOGGED
         # (iset id, requesting var id or None, element or None) per acquire call
         self.acquisitions: list = []
         self._fd_constraints: list[FdConstraint] = []
@@ -546,9 +543,8 @@ class Engine:
         that of the new one (target), both named by the table, as is the
         trace tag. The support graph is touched only to append a newly
         observed pair to its nodes; a pair removed while observed keeps its
-        arcs (see SupportGraph). The trace gets one entry, the transition
-        log one when a reader attached it, and in search the trail gets the
-        record that _unmove undoes the move with."""
+        arcs (see SupportGraph). The trace gets one entry, and in search
+        the trail gets the record that _unmove undoes the move with."""
         old = var.states.get(element, UNKNOWN)
         trail = self.isets.trail
         if trail is None and var.bound_to is None:
@@ -575,9 +571,6 @@ class Engine:
         var.states[element] = new
         if trail is not None:
             trail.append((self._unmove, var, element, old, source, index, target))
-        log = self.transitions
-        if log is not _UNLOGGED:
-            log.append((var.id, element, old, new, phase))
         self.trace.append((tag, var.name, element))
 
     @staticmethod

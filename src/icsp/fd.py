@@ -14,9 +14,9 @@ transitions permitted during propagation are exactly the four listed in
 ALLOWED_TRANSITIONS, and search may also remove candidate and present
 values (SEARCH_TRANSITIONS). Every state but unknown names one of the
 variable's lists. The engine makes every move in one routine, which checks
-it against these tables, moves the element from the list of its old state
-to that of its new one and logs it, tagged with its phase. A pair's state
-and the list that holds its element therefore never disagree.
+it against the table of its phase, moves the element from the list of its
+old state to that of its new one and traces it. A pair's state and the
+list that holds its element therefore never disagree.
 """
 
 import operator

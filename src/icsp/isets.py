@@ -96,9 +96,9 @@ class IsetConstraint:
     post() resolves every one of self.isets to its Iset record once, which
     validates it: an unknown id raises ValueError before anything is
     recorded. It then sets self.sets to the records, in argument order,
-    files the constraint under the isets it watches, and replays their
-    history to the handlers (see IsetStore.post) before it calls
-    activate(), a hook for work done once at posting. From there on the
+    replays the history of the isets it watches to the handlers, calls
+    activate(), a hook for work done once at posting, and only then files
+    the constraint under those isets (see IsetStore.post). From there on the
     constraint works on the records and looks up no id: it reads s.known
     (an insertion-ordered dict of the known elements), s.open and s.name
     directly, and changes a set only through the store, with
@@ -423,24 +423,23 @@ class IsetStore:
     # constraints and propagation
 
     def post(self, constraint: IsetConstraint) -> None:
-        """Resolve the constraint's isets to their records, file it under
-        the isets at its INSERTED and CLOSED positions, replay their history
-        against it and call its activate().
+        """Resolve the constraint's isets to their records, replay the
+        history of the isets at its INSERTED and CLOSED positions against
+        it, call its activate(), and then file it under those isets.
 
         The replay hands the handlers every element each watched iset
         knows, iset by iset in position order (an iset repeated among the
         arguments once) and each in known order, then the closure of each
         watched iset that is closed, so that posting order is irrelevant.
-        Every argument is validated before anything is recorded."""
+        Every argument is validated before anything is recorded. Handlers
+        only queue events, so filing last changes nothing, except when a
+        handler or activate() raises: the constraint is then left in no
+        list, and posting it again ends where an uninterrupted post ends."""
         isets = constraint.isets
         sets = tuple(map(self._get, isets))
         inserted = dict.fromkeys(isets[p] for p in constraint.INSERTED)
         closed = dict.fromkeys(isets[p] for p in constraint.CLOSED)
         constraint.sets = sets
-        for i in inserted:
-            self._on_inserted[i].append(constraint)
-        for i in closed:
-            self._on_closed[i].append(constraint)
         for i in inserted:
             for e in list(self._isets[i].known):
                 constraint.on_inserted(self, i, e)
@@ -448,6 +447,10 @@ class IsetStore:
             if not self._isets[i].open:
                 constraint.on_closed(self, i)
         constraint.activate(self)
+        for i in inserted:
+            self._on_inserted[i].append(constraint)
+        for i in closed:
+            self._on_closed[i].append(constraint)
 
     def fixpoint(self) -> list:
         """Drain the event queue FIFO until quiescent, handing each event

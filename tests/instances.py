@@ -36,21 +36,30 @@ def set_algebra(kind, a, b):
     raise ValueError(kind)
 
 
-def logged_engine():
-    """An Engine that keeps its transition log: the list is attached before
-    the engine's first move, so it holds every move. Tests that read the
-    log of engines from icsp.oracle.build_engine patch this in for
-    icsp.oracle.Engine."""
-    engine = Engine()
-    engine.transitions = []
-    return engine
+class LoggedEngine(Engine):
+    """An Engine that keeps a transition log: one (var id, element, from,
+    to, phase) record per move, in the order of the trace's move entries.
+    The phase follows the rule _move picks its step table by: "prop" while
+    no trail is kept and the variable is unbound, "search" otherwise.
+    Tests that read the log of engines from icsp.oracle.build_engine patch
+    it in for icsp.oracle.Engine."""
+
+    def __init__(self):
+        super().__init__()
+        self.transitions = []
+
+    def _move(self, var, element, new):
+        old = var.state(element)
+        super()._move(var, element, new)
+        phase = "prop" if self.isets.trail is None and var.bound_to is None else "search"
+        self.transitions.append((var.id, element, old, new, phase))
 
 
 def golden_engine():
     """Three variables over unknown domains, an intersection between the
     domains, one order constraint, and two scripted suppliers. The engine
     keeps its transition log."""
-    eng = logged_engine()
+    eng = LoggedEngine()
     dx = eng.new_iset(name="dx")
     dy = eng.new_iset(name="dy")
     dz = eng.new_iset(name="dz")
@@ -139,9 +148,9 @@ def engine_state(engine):
 
 def audit_transitions(engine):
     """Every propagation-phase transition must be one of the four legal
-    moves. The engine must keep its log (see logged_engine): a default
-    engine's is always empty, and would pass any audit."""
-    assert type(engine.transitions) is list, "the engine keeps no transition log"
+    moves. The engine must be a LoggedEngine: any other keeps no log, and
+    would pass any audit."""
+    assert isinstance(engine, LoggedEngine), "the engine keeps no transition log"
     bad = [t for t in engine.transitions
            if t[4] == "prop" and (t[2], t[3]) not in ALLOWED_TRANSITIONS]
     return bad
@@ -197,7 +206,7 @@ def random_open_engine(rng: random.Random):
     """An engine over partially-known domains, each open set backed by a
     scripted source holding a shuffled slice of the leftover universe. The
     engine keeps its transition log."""
-    engine = logged_engine()
+    engine = LoggedEngine()
     universe = list(range(1, 6))
     var_ids = []
     for i in range(rng.randint(2, 4)):

@@ -15,11 +15,11 @@ import pytest
 from icsp import ScriptedSource
 
 from instances import (
+    LoggedEngine,
     audit_transitions,
     engine_kac_holds,
     golden_engine,
     intersection_store,
-    logged_engine,
     random_algebra_instance,
     random_closed_csp,
     random_iset_instance,
@@ -36,7 +36,7 @@ def _passed(n, text):
 def _lazy_counts_engine():
     """Two variables over empty open domains, one order constraint, and
     two scripted suppliers holding 11 elements each."""
-    eng = logged_engine()
+    eng = LoggedEngine()
     dx = eng.new_iset(name="dx")
     dz = eng.new_iset(name="dz")
     x = eng.new_fd_variable(dx, name="x")

@@ -16,19 +16,18 @@ import pytest
 
 import icsp.oracle
 import instances
-from icsp import Engine, Inconsistency
+from icsp import Inconsistency
 from icsp.fd import builtin_verifier
 
-from instances import random_closed_csp, random_nary_closed_csp, random_open_engine
+from instances import LoggedEngine, random_closed_csp, random_nary_closed_csp, random_open_engine
 
 
-class CountingEngine(Engine):
-    """Posts every constraint with a verifier that counts its calls, and
-    keeps its transition log."""
+class CountingEngine(LoggedEngine):
+    """Keeps its transition log, and posts every constraint with a verifier
+    that counts its calls."""
 
     def __init__(self):
         super().__init__()
-        self.transitions = []
         self.verify_calls = 0
 
     def post_fd_constraint(self, name, args, verifier=None):
@@ -71,13 +70,14 @@ def binary_arcs(engine) -> int:
 
 
 def both_paths(monkeypatch, build):
-    """The records of the instance that build() makes, with Engine standing
-    for CountingEngine and then for SpreadEngine, and the first engine's
-    number of binary arcs; the second engine must have none."""
+    """The records of the instance that build() makes, with the engine
+    classes of instances and icsp.oracle standing for CountingEngine and
+    then for SpreadEngine, and the first engine's number of binary arcs;
+    the second engine must have none."""
     records, engines = [], []
     for cls in (CountingEngine, SpreadEngine):
         with monkeypatch.context() as patch:
-            patch.setattr(instances, "Engine", cls)
+            patch.setattr(instances, "LoggedEngine", cls)
             patch.setattr(icsp.oracle, "Engine", cls)
             engine = build()
         assert type(engine) is cls

@@ -12,10 +12,10 @@ from icsp import (Engine, Inclusion, Inconsistency, IsetStore, PairState,
                   ScriptedSource, Union, resolve_verifier)
 
 from instances import (
+    LoggedEngine,
     audit_transitions,
     engine_kac_holds,
     golden_engine,
-    logged_engine,
     pair_place_errors,
 )
 from icsp.oracle import ClosedCsp, ac3
@@ -124,7 +124,7 @@ def test_a_constraint_without_arguments_is_rejected():
 
 
 def test_an_illegal_move_raises_before_changing_anything():
-    eng = logged_engine()
+    eng = LoggedEngine()
     v = eng.new_fd_variable(eng.new_iset([1]), name="v")
     var = eng.variable(v)
     assert var.state(1) is PairState.CANDIDATE
@@ -156,7 +156,7 @@ def test_every_move_follows_the_step_table_of_its_phase(phase, old, new):
     # out of its old list, to the end of its new one, and logs one trace
     # entry and one transition record; in search its trail record undoes
     # it. An illegal move raises and changes nothing.
-    eng = logged_engine()
+    eng = LoggedEngine()
     v = eng.new_fd_variable(eng.new_iset(name="d"), name="v")
     var = eng.variable(v)
     for filler, state in enumerate(_LISTS, start=10):
@@ -197,13 +197,12 @@ def test_every_move_follows_the_step_table_of_its_phase(phase, old, new):
     assert seen()[:2] == before[:2]
 
 
-def test_only_an_attached_list_keeps_the_transition_log():
-    # The default log stays empty through solve() and label(). A list
-    # attached before the first move gets one record per move, in the
-    # order of the trace's move entries; both engines run alike.
-    runs = []
-    for make in (Engine, logged_engine):
-        eng = make()
+def test_the_engine_keeps_no_transition_log_and_a_logged_engine_rebuilds_it():
+    # A plain engine's transitions stay () through solve() and label(), and
+    # a list assigned to them stays empty: the engine logs nothing there. A
+    # LoggedEngine gets one record per move, in the order of the trace's
+    # move entries; all three engines run alike.
+    def run(eng):
         dx = eng.new_iset([1, 2], name="dx")
         eng.register_source(dx, ScriptedSource([3]))
         x = eng.new_fd_variable(dx, name="x")
@@ -211,16 +210,21 @@ def test_only_an_attached_list_keeps_the_transition_log():
         eng.post_fd_constraint("lt", [x, y])
         assert eng.solve() is True
         assert eng.label() == {x: 1, y: 2}
-        runs.append(eng)
-    default, logged = runs
-    assert (default.trace, default.acquisitions) == (logged.trace, logged.acquisitions)
-    assert len(default.transitions) == 0 and list(default.transitions) == []
-    tags = Counter(entry[0] for entry in default.trace)
+        return eng
+
+    default = run(Engine())
+    assigned = Engine()
+    assigned.transitions = []
+    run(assigned)
+    logged = run(LoggedEngine())
+    assert default.transitions == () and assigned.transitions == []
+    for eng in (default, assigned):
+        assert (eng.trace, eng.acquisitions) == (logged.trace, logged.acquisitions)
     moves = [entry[1:] for entry in logged.trace
              if entry[0] in ("CANDIDATE", "OBSERVE", "PRESENT", "REMOVE")]
-    assert len(moves) == sum(tags[t] for t in ("CANDIDATE", "OBSERVE", "PRESENT", "REMOVE"))
     assert [(logged.variables[vid].name, e) for vid, e, *_ in logged.transitions] == moves
-    assert [phase for *_, phase in logged.transitions].count("search") == 2  # x=2, y=3
+    phases = Counter(phase for *_, phase in logged.transitions)
+    assert phases == {"prop": 18, "search": 2}  # label() removes x's 2 and y's 3
 
 
 @pytest.mark.parametrize("vid", [-1, 1, "x", 0.0, True, False])
@@ -486,7 +490,7 @@ def test_a_contradiction_found_by_solve_is_final():
     # forces into the closed db = {5}. Nothing outside search takes 7 back,
     # so acquiring 5 next would leave da = {5, 7} outside db: every later
     # solve() must stay False, without acquiring or propagating again.
-    eng = logged_engine()
+    eng = LoggedEngine()
     da = eng.new_iset(name="da")
     eng.register_source(da, ScriptedSource([7, 5]))
     db = eng.new_iset([5], open=False, name="db")

@@ -26,7 +26,13 @@ from icsp.isets import (
     parse_element,
 )
 
-from instances import engine_state, intersection_store, random_algebra_instance
+from instances import (
+    ISETC_CLASSES,
+    engine_state,
+    intersection_store,
+    random_algebra_instance,
+    random_iset_instance,
+)
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +241,80 @@ def test_posting_after_insertions_replays_history():
         store.fixpoint()
         final.append((store.known(a), store.known(b)))
     assert final[0] == final[1] == ({1, 2}, {1, 2})
+
+
+class Armed(Exception):
+    """The fault a handler raises on purpose."""
+
+
+def posting_run(seed, raise_at=None):
+    """random_iset_instance(seed) on a fresh store: its postings and
+    insertions in a seeded order, each followed by a fixpoint or not. With
+    raise_at k, the k-th handler call made inside post() raises Armed; the
+    constraint must then be in no list, and it is posted again. Returns the
+    outcome with the known parts in order, the closures, the constraints
+    filed under each iset and the trace, and the number of handler calls
+    made inside post()."""
+    rng = random.Random(seed)
+    sets, constraints, insertions = random_iset_instance(rng)
+    steps = [("post", spec) for spec in constraints] + [("insert", i) for i in insertions]
+    rng.shuffle(steps)
+    store = IsetStore()
+    ids = [store.new_iset(initial, open=is_open) for initial, is_open in sets]
+    posted = []
+    calls = 0
+
+    def armed(handler):
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            if calls == raise_at:
+                raise Armed
+            return handler(*args)
+        return call
+
+    outcome = "ok"
+    try:
+        for tag, payload in steps:
+            if tag == "insert":
+                store.ensure_member(ids[payload[0]], payload[1])
+            else:
+                kind, args = payload
+                constraint = (Member(args[0], ids[args[1]]) if kind == "member"
+                              else ISETC_CLASSES[kind](*(ids[i] for i in args)))
+                handlers = constraint.on_inserted, constraint.on_closed
+                constraint.on_inserted, constraint.on_closed = map(armed, handlers)
+                posted.append(constraint)
+                try:
+                    store.post(constraint)
+                except Armed:
+                    filed = store._on_inserted + store._on_closed
+                    assert not any(constraint in lists for lists in filed)
+                    store.post(constraint)
+                constraint.on_inserted, constraint.on_closed = handlers
+            if rng.random() < 0.5:
+                store.fixpoint()
+        store.fixpoint()
+    except Inconsistency:
+        outcome = "fail"
+    filed = [[posted.index(c) for c in lists] for lists in store._on_inserted + store._on_closed]
+    record = (outcome, [store.known_in_order(i) for i in ids],
+              [store.is_closed(i) for i in ids], filed, store.trace)
+    return record, calls
+
+
+def test_a_handler_that_raises_while_posting_leaves_the_constraint_unposted():
+    # post() files the constraint only once its replay and activate() have
+    # returned. A handler that raises during the replay leaves it in no
+    # list, and posting it again ends exactly where an uninterrupted post
+    # ends: the same known parts, closures, filed lists and trace.
+    raised = 0
+    for seed in range(400):
+        reference, calls = posting_run(seed)
+        for k in range(1, min(calls, 25) + 1):
+            assert posting_run(seed, k)[0] == reference, f"seed {seed} call {k}"
+            raised += 1
+    assert raised >= 1000
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from icsp import (
     ScriptedSource,
 )
 
-from instances import engine_kac_holds, engine_state, logged_engine, pair_place_errors
+from instances import LoggedEngine, engine_kac_holds, engine_state, pair_place_errors
 
 
 def gated_triangle(a_open=False, a_script=None):
@@ -308,7 +308,7 @@ def test_a_replayed_reply_known_by_another_route_is_dropped():
 def test_a_value_bound_by_label_discards_later_arrivals():
     # After label() binds x to 1, 7 enters x's open domain. solve() moves
     # it to removed under the search transitions and stays consistent.
-    eng = logged_engine()
+    eng = LoggedEngine()
     dx = eng.new_iset([1, 2], name="dx")
     dy = eng.new_iset([1, 2], open=False, name="dy")
     x = eng.new_fd_variable(dx, name="x")

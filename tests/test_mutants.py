@@ -62,3 +62,18 @@ def test_the_sweep_reports_only_the_survivor_not_accepted(tmp_path):
         "6 mutants: 3 killed, 1 timed out, 1 accepted, 1 survived\n")
     # the sweep ran in a copy: the tree is as it was
     assert (tmp_path / "src" / "tinymutants" / "__init__.py").read_text(encoding="utf-8") == SOURCE
+
+
+def test_every_accepted_entry_names_a_statement_of_the_package():
+    # An entry that no longer names a statement would only show as stale at
+    # the end of the full sweep; here it fails at once.
+    package = TOOLS.parent / "src" / "icsp"
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        text = source.splitlines()
+        found.update((str(path.relative_to(package)), function, text[node.lineno - 1].strip())
+                     for node, function, _inside in mutants.statements(source))
+    accepted = mutants.read_accepted(TOOLS / "mutants_accepted.txt")
+    assert accepted
+    assert sorted(accepted.keys() - found) == []

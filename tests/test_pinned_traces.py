@@ -29,7 +29,7 @@ from icsp.cli import parse, run
 from icsp.oracle import build_engine
 
 from instances import (
-    logged_engine,
+    LoggedEngine,
     random_closed_csp,
     random_iset_instance,
     random_nary_closed_csp,
@@ -54,7 +54,7 @@ def open_chain(seed, name, nvars, universe):
     """A chain of binary constraints over open domains, each backed by a
     shuffled script over the universe, with one element known up front."""
     rng = random.Random(seed)
-    engine = logged_engine()
+    engine = LoggedEngine()
     ids = []
     for i in range(nvars):
         values = list(universe)
@@ -70,7 +70,7 @@ def open_chain(seed, name, nvars, universe):
 def open_sum(seed):
     """sum_eq_const over four variables: two closed, two open with scripts."""
     rng = random.Random(seed)
-    engine = logged_engine()
+    engine = LoggedEngine()
     ids = []
     for i in range(4):
         if i < 2:
@@ -89,7 +89,7 @@ def shared_iset(seed):
     """Two variables over one open iset inside one ternary constraint: one
     acquisition appends the same element to two pools at once."""
     rng = random.Random(seed)
-    engine = logged_engine()
+    engine = LoggedEngine()
     dz = engine.new_iset(rng.sample(range(1, 9), 3), open=False, name="dz")
     dshared = engine.new_iset([rng.randint(1, 8)], name="ds")
     values = [v for v in range(1, 13) if v not in engine.isets.known(dshared)]
@@ -105,7 +105,7 @@ def shared_iset(seed):
 def exhausted_source():
     """x in {9}; y's source runs dry before anything exceeds 9, z has no
     source at all: both exhausted replies arrive while a seek is pending."""
-    engine = logged_engine()
+    engine = LoggedEngine()
     dx = engine.new_iset([9], open=False, name="dx")
     dy = engine.new_iset(name="dy")
     dz = engine.new_iset([1], name="dz")
@@ -119,7 +119,7 @@ def exhausted_source():
 
 
 def queens(n):
-    engine = logged_engine()
+    engine = LoggedEngine()
     dom = engine.new_iset(range(n), open=False, name="rows")
     ids = [engine.new_fd_variable(dom, name=f"q{i}") for i in range(n)]
     for i in range(n):
@@ -218,5 +218,5 @@ PINNED = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_is_pinned(case, monkeypatch):
-    monkeypatch.setattr(icsp.oracle, "Engine", logged_engine)  # for closed_csp
+    monkeypatch.setattr(icsp.oracle, "Engine", LoggedEngine)  # for closed_csp
     assert CASES[case]() == PINNED[case]

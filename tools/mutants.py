@@ -14,9 +14,12 @@ in suite order (some tests read what earlier ones in their module left),
 and stops at the first failure. Every test runs when no test reaches the
 line, or when the statement lies outside any function: it runs at
 import, which no single test owns, and the CLI tests run `python -m icsp`
-in a subprocess the hook does not see. A mutant is killed when the run
-fails, timed out when it outlives LIMIT seconds (an infinite loop), and
-survives when every test passes.
+in a subprocess the hook does not see. No child runs this tool's own
+tests, test_mutants.py: they sweep a tiny package that no mutant
+changes, and they check the accepted list below against the package's
+text, which a mutant of a listed statement always fails. A mutant is
+killed when the run fails, timed out when it outlives LIMIT seconds (an
+infinite loop), and survives when every test passes.
 
 tools/mutants_accepted.txt lists the survivors that stay, each keyed by
 file, enclosing function and the statement's first line, so an edit
@@ -49,6 +52,7 @@ from code_lines import docstring_lines
 from line_coverage import tracing
 
 ROOT = Path(__file__).resolve().parent.parent
+OWN_TESTS = "test_mutants.py"  # run by tier-1 only, never by a child
 LIMIT = 30.0  # seconds per mutant; the whole suite takes about 15 in a child
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -169,7 +173,7 @@ def sweep(root: Path, package: str, tests: str, accepted: Path,
             sys.path.remove(str(package.parent))
         if code != 0:
             raise RuntimeError(f"the tests fail before any mutation (pytest exit {code})")
-        suite = list(plugin.lines)
+        suite = [t for t in plugin.lines if Path(t.split("::")[0]).name != OWN_TESTS]
         if _run(copy, package, suite, limit) != "survived":
             raise RuntimeError(f"the tests do not pass in a child within {limit} s")
         counts = dict.fromkeys(("killed", "timed out", "accepted", "survived"), 0)

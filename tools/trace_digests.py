@@ -4,12 +4,13 @@ and one per slot.
     python3 tools/trace_digests.py --seed 1
 
 icsp is imported from the src/ directory of the checkout that holds this
-file, and the instance lists from its bench/workloads.py, which is only
-read. Every instance of lazy_chain, closed_search and set_network is built
-and run to its verdict once, untimed and unchecked. Its record is the
-verdict outcome plus the engine's trace, transition log (which each engine
-keeps here, from its first move) and acquisition log; an instance that
-raises is recorded by its exception type alone. Two
+file, the instance lists from its bench/workloads.py, which is only read,
+and LoggedEngine from its tests/instances.py. Every instance of lazy_chain,
+closed_search and set_network is built, as a LoggedEngine, and run to its
+verdict once, untimed and unchecked. Its record is the verdict outcome
+plus the engine's trace, transition log (the (var id, element, from, to,
+phase) records LoggedEngine keeps, one per move) and acquisition log; an
+instance that raises is recorded by its exception type alone. Two
 checkouts that print the same digests made the same choices on every
 instance: the same supports, removals and acquisitions in the same order.
 
@@ -49,6 +50,7 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
     calls["restores"] and every set handler call one to
     calls["set_handler_calls"]."""
     from icsp import Engine, cli
+    from instances import LoggedEngine
 
     engines = []
 
@@ -59,8 +61,7 @@ def instance_record(workload, instance, calls: Counter) -> "tuple[str, str | Non
         return counted
 
     def new_engine():
-        engine = Engine()
-        engine.transitions = []  # keep the log, from the engine's first move
+        engine = LoggedEngine()
         post_fd_constraint = engine.post_fd_constraint
         register_source = engine.register_source
         isets = engine.isets
@@ -123,8 +124,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
-    sys.dont_write_bytecode = True  # leave no cache files under bench/
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    sys.dont_write_bytecode = True  # leave no cache files under bench/ or tests/
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
     from workloads import SLOTS, WORKLOADS
 
     for name, workload in WORKLOADS.items():
