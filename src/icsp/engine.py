@@ -321,7 +321,7 @@ class Engine:
                 if var.bound_to is not None:
                     # A search decision already fixed this variable; late
                     # arrivals contradict it and are discarded as removed.
-                    self._move(var, element, REMOVED)
+                    self._move(var, element, REMOVED, _SEARCH_STEPS)
                     continue
                 self._move(var, element, OBSERVED)
                 self._check_candidate(var, element)
@@ -530,30 +530,28 @@ class Engine:
                 self._move(var, element, PRESENT)
         self.graph.clear()
 
-    def _move(self, var: FdVariable, element: Element, new: PairState) -> None:
+    def _move(self, var: FdVariable, element: Element, new: PairState,
+              steps: dict = _PROP_STEPS) -> None:
         """Move one (variable, element) pair to state new: the one place
         where a pair changes state.
 
-        The move is looked up in the step table of the current phase,
-        _PROP_STEPS or _SEARCH_STEPS, and a move that the table lacks
-        raises before anything changes. The phase is search, which permits
-        more, while search keeps a trail, and for a variable that a
-        successful label() left bound. The element leaves the list of its
-        old state (source; an unknown pair is in none) and joins the end of
-        that of the new one (target), both named by the table, as is the
-        trace tag. The support graph is touched only to append a newly
-        observed pair to its nodes; a pair removed while observed keeps its
-        arcs (see SupportGraph). The trace gets one entry, and in search
-        the trail gets the record that _unmove undoes the move with."""
+        The move is looked up in steps, the step table its caller names:
+        _PROP_STEPS by default, _SEARCH_STEPS, which permits more, for the
+        removals a search decision makes (_bind, _revise, and kac_fixpoint
+        discarding a bound variable's late arrival). A move that the table
+        lacks raises before anything changes. The element leaves the list
+        of its old state (source; an unknown pair is in none) and joins the
+        end of that of the new one (target), both named by the table, as
+        is the trace tag. The support graph is touched only to append a
+        newly observed pair to its nodes; a pair removed while observed
+        keeps its arcs (see SupportGraph). The trace gets one entry, and
+        while search keeps a trail the trail gets the record that _unmove
+        undoes the move with."""
         old = var.states.get(element, UNKNOWN)
-        trail = self.isets.trail
-        if trail is None and var.bound_to is None:
-            phase, steps = "prop", _PROP_STEPS
-        else:
-            phase, steps = "search", _SEARCH_STEPS
         try:
             source, target, tag = steps[old, new]
         except KeyError:
+            phase = "search" if steps is _SEARCH_STEPS else "prop"
             raise AssertionError(
                 f"illegal {phase} transition {old.value}->{new.value} "
                 f"for ({var.name},{element!r})"
@@ -569,6 +567,7 @@ class Engine:
         if new is OBSERVED:
             self.graph.nodes.append((var.id, element))
         var.states[element] = new
+        trail = self.isets.trail
         if trail is not None:
             trail.append((self._unmove, var, element, old, source, index, target))
         self.trace.append((tag, var.name, element))
@@ -686,7 +685,7 @@ class Engine:
         # set event or acquisition behind: kac_fixpoint has work only when
         # a removal left a variable with no present value.
         for e in [e for e in var.present if e != value]:
-            self._move(var, e, REMOVED)
+            self._move(var, e, REMOVED, _SEARCH_STEPS)
         self.isets.trail.append((setattr, var, "bound_to", var.bound_to))
         var.bound_to = value
         if self._revise(var):
@@ -760,7 +759,7 @@ class Engine:
                             continue
                         support = self._find_tuple(e, arc, pools)
                     if support is None:
-                        self._move(wvar, e, REMOVED)
+                        self._move(wvar, e, REMOVED, _SEARCH_STEPS)
                         work.append(w)
                         emptied = emptied or not wvar.present
                     else:

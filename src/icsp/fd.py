@@ -11,12 +11,13 @@ removed values.
 
 Every (variable, element) pair moves through a small state machine; the
 transitions permitted during propagation are exactly the four listed in
-ALLOWED_TRANSITIONS, and search may also remove candidate and present
-values (SEARCH_TRANSITIONS). Every state but unknown names one of the
-variable's lists. The engine makes every move in one routine, which checks
-it against the table of its phase, moves the element from the list of its
-old state to that of its new one and traces it. A pair's state and the
-list that holds its element therefore never disagree.
+ALLOWED_TRANSITIONS, and the removals a search decision makes may also
+remove candidate and present values (SEARCH_TRANSITIONS). Every state but
+unknown names one of the variable's lists. The engine makes every move in
+one routine, which checks it against the table its caller names, moves
+the element from the list of its old state to that of its new one and
+traces it. A pair's state and the list that holds its element therefore
+never disagree.
 """
 
 import operator
@@ -50,7 +51,9 @@ ALLOWED_TRANSITIONS = {
     (OBSERVED, REMOVED),     # no support found
 }
 
-# Additional moves allowed only while a search decision is active.
+# Additional moves allowed only to the removals a search decision makes:
+# binding a variable, revising after it, and discarding a bound
+# variable's late arrival (see Engine._move).
 SEARCH_TRANSITIONS = {
     (PRESENT, REMOVED),
     (CANDIDATE, REMOVED),

@@ -185,6 +185,19 @@ class Inclusion(IsetConstraint):
             store._close(a)
 
 
+def _settle_result(store, c: Iset, members: list, relation: str) -> None:
+    """Close c as exactly members, the relation's result once both of its
+    operands are final: an element of c outside members is an
+    Inconsistency, raised before anything changes; otherwise each member
+    enters c, in order, and c closes."""
+    stray = sorted(c.known.keys() - set(members), key=element_sort_key)
+    if stray:
+        raise Inconsistency(f"{c.name} holds {stray} outside {relation}")
+    for e in members:
+        store._insert(c, e)
+    store._close(c)
+
+
 class Intersection(IsetConstraint):
     """a ∩ b = c."""
 
@@ -204,17 +217,8 @@ class Intersection(IsetConstraint):
         a, b, c = self.sets
         if a.open or b.open:
             return
-        # Both operands are final: c is exactly their intersection.
-        inter = [e for e in a.known if e in b.known]
-        stray = c.known.keys() - set(inter)
-        if stray:
-            raise Inconsistency(
-                f"{c.name} holds {sorted(stray, key=element_sort_key)} "
-                f"outside {a.name} ∩ {b.name}"
-            )
-        for e in inter:
-            store._insert(c, e)
-        store._close(c)
+        _settle_result(store, c, [e for e in a.known if e in b.known],
+                       f"{a.name} ∩ {b.name}")
 
 
 class Union(IsetConstraint):
@@ -256,16 +260,7 @@ class Union(IsetConstraint):
         for e in pending:
             self._settle(store, a, b, e)
         if not (a.open or b.open):
-            for e in c.known:
-                if not (e in a.known or e in b.known):
-                    raise Inconsistency(
-                        f"{c.name} holds {e!r} outside {a.name} ∪ {b.name}"
-                    )
-            for e in list(a.known):
-                store._insert(c, e)
-            for e in list(b.known):
-                store._insert(c, e)
-            store._close(c)
+            _settle_result(store, c, [*a.known, *b.known], f"{a.name} ∪ {b.name}")
 
 
 class Difference(IsetConstraint):

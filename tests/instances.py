@@ -10,6 +10,7 @@ failure is replayable from its seed.
 import random
 
 from icsp import Engine, Inconsistency, IsetStore, PairState, ScriptedSource, resolve_verifier
+from icsp.engine import _PROP_STEPS
 from icsp.fd import ALLOWED_TRANSITIONS
 from icsp.isets import Difference, Inclusion, Intersection, Member, Union
 from icsp.oracle import ClosedCsp, is_known_arc_consistent
@@ -39,18 +40,18 @@ def set_algebra(kind, a, b):
 class LoggedEngine(Engine):
     """An Engine that keeps a transition log: one (var id, element, from,
     to, phase) record per move, in the order of the trace's move entries.
-    The phase follows the rule _move picks its step table by: "prop" while
-    no trail is kept and the variable is unbound, "search" otherwise.
-    Tests that read the log of engines from icsp.oracle.build_engine patch
-    it in for icsp.oracle.Engine."""
+    The record's phase is its own rule, not the step table the caller
+    passed: "prop" while no trail is kept and the variable is unbound,
+    "search" otherwise. Tests that read the log of engines from
+    icsp.oracle.build_engine patch it in for icsp.oracle.Engine."""
 
     def __init__(self):
         super().__init__()
         self.transitions = []
 
-    def _move(self, var, element, new):
+    def _move(self, var, element, new, steps=_PROP_STEPS):
         old = var.state(element)
-        super()._move(var, element, new)
+        super()._move(var, element, new, steps)
         phase = "prop" if self.isets.trail is None and var.bound_to is None else "search"
         self.transitions.append((var.id, element, old, new, phase))
 

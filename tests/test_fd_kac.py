@@ -18,6 +18,7 @@ from instances import (
     golden_engine,
     pair_place_errors,
 )
+from icsp.engine import _SEARCH_STEPS
 from icsp.oracle import ClosedCsp, ac3
 
 
@@ -152,10 +153,12 @@ _SEARCH_MOVES = _PROP_MOVES | {(_S.PRESENT, _S.REMOVED), (_S.CANDIDATE, _S.REMOV
 @pytest.mark.parametrize("new", list(PairState), ids=lambda s: s.value)
 def test_every_move_follows_the_step_table_of_its_phase(phase, old, new):
     # The element 1 starts in state old, first in its list, behind nothing
-    # and ahead of a filler element in every list. A legal move takes it
-    # out of its old list, to the end of its new one, and logs one trace
-    # entry and one transition record; in search its trail record undoes
-    # it. An illegal move raises and changes nothing.
+    # and ahead of a filler element in every list. A search move keeps a
+    # trail and passes the search table, as search's removals do. A legal
+    # move takes the element out of its old list, to the end of its new
+    # one, and logs one trace entry and one transition record; in search
+    # its trail record undoes it. An illegal move raises and changes
+    # nothing.
     eng = LoggedEngine()
     v = eng.new_fd_variable(eng.new_iset(name="d"), name="v")
     var = eng.variable(v)
@@ -165,8 +168,10 @@ def test_every_move_follows_the_step_table_of_its_phase(phase, old, new):
     if old is not _S.UNKNOWN:
         getattr(var, _LISTS[old]).insert(0, 1)
         var.states[1] = old
+    steps = ()
     if phase == "search":
         eng.isets.trail = []
+        steps = (_SEARCH_STEPS,)
 
     def seen():
         return ({name: list(getattr(var, name)) for name in _LISTS.values()},
@@ -176,11 +181,11 @@ def test_every_move_follows_the_step_table_of_its_phase(phase, old, new):
     before = seen()
     if (old, new) not in (_PROP_MOVES if phase == "prop" else _SEARCH_MOVES):
         with pytest.raises(AssertionError) as raised:
-            eng._move(var, 1, new)
+            eng._move(var, 1, new, *steps)
         assert str(raised.value) == f"illegal {phase} transition {old.value}->{new.value} for (v,1)"
         assert seen() == before
         return
-    eng._move(var, 1, new)
+    eng._move(var, 1, new, *steps)
     lists, states, nodes, trace, transitions, trail = seen()
     for state, name in _LISTS.items():
         want = [x for x in before[0][name] if x != 1] + [1] * (state is new)
@@ -195,6 +200,43 @@ def test_every_move_follows_the_step_table_of_its_phase(phase, old, new):
     assert len(trail) == 1
     eng.isets.set_state(0)
     assert seen()[:2] == before[:2]
+
+
+def test_a_move_takes_the_table_its_caller_names_not_the_phase_it_runs_in():
+    # Neither a kept trail nor a binding lets a move past the propagation
+    # table: only a caller that names the search table makes a search move.
+    eng = Engine()
+    v = eng.new_fd_variable(eng.new_iset([1, 2], open=False, name="d"), name="v")
+    var = eng.variable(v)
+    assert eng.solve() is True and var.present == [1, 2]
+    eng.isets.trail = []
+    before = (dict(var.states), list(var.present), list(var.removed), list(eng.trace))
+    with pytest.raises(AssertionError) as raised:
+        eng._move(var, 1, PairState.REMOVED)
+    assert str(raised.value) == "illegal prop transition present->removed for (v,1)"
+    assert (dict(var.states), list(var.present), list(var.removed),
+            list(eng.trace)) == before
+    assert eng.isets.trail == []
+    eng._move(var, 1, PairState.REMOVED, _SEARCH_STEPS)
+    assert var.state(1) is PairState.REMOVED and var.present == [2]
+    assert len(eng.isets.trail) == 1
+    eng.isets.trail = None
+
+    # A variable that label() left bound gets a late candidate; removing
+    # it takes the search table, which kac_fixpoint's discard passes.
+    eng = Engine()
+    d = eng.new_iset([1], name="d")
+    v = eng.new_fd_variable(d, name="v")
+    var = eng.variable(v)
+    assert eng.label() == {v: 1} and var.bound_to == 1
+    eng.isets._insert(eng.isets._get(d), 2)
+    eng.propagate_isets()
+    assert var.state(2) is PairState.CANDIDATE
+    with pytest.raises(AssertionError) as raised:
+        eng._move(var, 2, PairState.REMOVED)
+    assert str(raised.value) == "illegal prop transition candidate->removed for (v,2)"
+    assert var.state(2) is PairState.CANDIDATE
+    assert eng.solve() is True and var.state(2) is PairState.REMOVED
 
 
 def test_the_engine_keeps_no_transition_log_and_a_logged_engine_rebuilds_it():

@@ -814,7 +814,7 @@ def test_a_custom_constraint_works_through_posting_replay_and_search():
 
 @pytest.mark.parametrize("kind, message", [
     (Intersection, "s2 holds [7] outside s0 ∩ s1"),
-    (Union, "s2 holds 7 outside s0 ∪ s1"),
+    (Union, "s2 holds [7] outside s0 ∪ s1"),
 ])
 def test_closing_both_operands_rejects_a_result_element_outside_them(kind, message):
     store = IsetStore()

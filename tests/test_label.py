@@ -382,3 +382,26 @@ def test_no_seek_acquisition_targets_a_bound_variable():
     eng.acquire = spy
     assert eng.label([x0, x1]) is None
     assert bound_seeks == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "CHANGES.md FOUND on _revise: search's revise removes a value that no "
+    "present value supports while another domain of the constraint is open"))
+def test_label_finds_a_solution_that_needs_an_element_not_yet_acquired():
+    # (x, u, w) = (1, 3, 3) is a solution, but u's 3 is not acquired yet.
+    # After x = 1, revise removes w's 3, which no present value of u
+    # supports, though u is unbound over an open domain; w, closed, wipes
+    # out, x = 5 fails the same way, and u's 3 is never acquired.
+    eng = Engine()
+    x = eng.new_fd_variable(eng.new_iset([1, 5], open=False, name="dx"), name="x")
+    du = eng.new_iset(name="du")
+    eng.register_source(du, ScriptedSource([4, 2, 3]))
+    u = eng.new_fd_variable(du, name="u")
+    w = eng.new_fd_variable(eng.new_iset([9, 3], open=False, name="dw"), name="w")
+    for args, table in (([x, u], {(1, 4), (5, 2), (1, 3)}),
+                        ([u, w], {(4, 9), (2, 3), (3, 3)}),
+                        ([x, w], {(1, 3), (5, 9)})):
+        eng.post_fd_constraint("table", args, lambda t, table=table: tuple(t) in table)
+    assert eng.solve() is True
+    assert [eng.present(v) for v in (x, u, w)] == [[1, 5], [4, 2], [9, 3]]
+    assert eng.label([x, u, w]) == {x: 1, u: 3, w: 3}
