@@ -77,8 +77,8 @@ class InteractiveSource(AcquisitionSource):
     output carries only what the caller writes there (the CLI's trace and
     result). Replies are read from input_stream, standard input by
     default. A line that parse_element reads, an ASCII integer or a bare
-    lowercase atom, is an element; the literal line "none" (or end of
-    input) means exhausted.
+    lowercase atom, is an element; the literal line "none", which is no
+    element, or end of input means exhausted.
     Unparsable lines are reported and re-prompted. Each line is read once:
     a reply that search undoes is replayed by the engine, not asked for
     again.

@@ -14,10 +14,12 @@ Grammar (one directive per line, `#` starts a comment):
     option labeling on|off
 
 Names are lowercase atoms, unique per kind, declared before use. Elements
-are signed integers or bare lowercase atoms. Every integer, in an element,
-a range bound or sum_eq_const:<k>, is written in ASCII as -?[0-9]+ (see
-isets.INT). <cname> is one of the built-in verifiers (lt, le, gt, ge, eq,
-ne, sum_eq_const:<k>); arbitrary verifiers are a library-only feature.
+are signed integers or bare lowercase atoms other than none, which is
+reserved: the trace writes an exhausted acquisition as none. Every
+integer, in an element, a range bound or sum_eq_const:<k>, is written in
+ASCII as -?[0-9]+ (see isets.INT). <cname> is one of the built-in
+verifiers (lt, le, gt, ge, eq, ne, sum_eq_const:<k>); arbitrary verifiers
+are a library-only feature.
 
 Exit codes: 0 consistent, 1 inconsistent, 2 an error: a usage or parse
 error, a problem file that cannot be read as UTF-8 text, or a source that

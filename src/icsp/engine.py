@@ -30,12 +30,12 @@ from typing import Callable, Iterable, Sequence
 from .acquisition import AcquisitionContext, AcquisitionSource
 from .errors import Inconsistency, SourceContractError
 from .fd import (
-    ALLOWED_TRANSITIONS,
     CANDIDATE,
     OBSERVED,
     PRESENT,
+    PROP_STEPS,
     REMOVED,
-    SEARCH_TRANSITIONS,
+    SEARCH_STEPS,
     UNKNOWN,
     FdConstraint,
     FdVariable,
@@ -44,22 +44,6 @@ from .fd import (
     builtin_verifier,
 )
 from .isets import Element, IsetConstraint, IsetStore, is_element
-
-
-def _steps(moves: set) -> dict:
-    """The step table of a phase: (old, new) -> (source, target, tag) for
-    each move it permits. source and target name the variable's lists that
-    the old and the new state name, source None for unknown, and tag is the
-    trace tag of a move into new."""
-    places = {UNKNOWN: None, CANDIDATE: "candidates", OBSERVED: "observed",
-              PRESENT: "present", REMOVED: "removed"}
-    tags = {CANDIDATE: "CANDIDATE", OBSERVED: "OBSERVE", PRESENT: "PRESENT",
-            REMOVED: "REMOVE"}
-    return {(old, new): (places[old], places[new], tags[new]) for old, new in moves}
-
-
-_PROP_STEPS = _steps(ALLOWED_TRANSITIONS)
-_SEARCH_STEPS = _steps(ALLOWED_TRANSITIONS | SEARCH_TRANSITIONS)
 
 
 def _first_support(verify, element: Element, k: int, pool: Iterable) -> "Element | None":
@@ -321,7 +305,7 @@ class Engine:
                 if var.bound_to is not None:
                     # A search decision already fixed this variable; late
                     # arrivals contradict it and are discarded as removed.
-                    self._move(var, element, REMOVED, _SEARCH_STEPS)
+                    self._move(var, element, REMOVED, SEARCH_STEPS)
                     continue
                 self._move(var, element, OBSERVED)
                 self._check_candidate(var, element)
@@ -531,27 +515,27 @@ class Engine:
         self.graph.clear()
 
     def _move(self, var: FdVariable, element: Element, new: PairState,
-              steps: dict = _PROP_STEPS) -> None:
+              steps: dict = PROP_STEPS) -> None:
         """Move one (variable, element) pair to state new: the one place
         where a pair changes state.
 
-        The move is looked up in steps, the step table its caller names:
-        _PROP_STEPS by default, _SEARCH_STEPS, which permits more, for the
-        removals a search decision makes (_bind, _revise, and kac_fixpoint
-        discarding a bound variable's late arrival). A move that the table
-        lacks raises before anything changes. The element leaves the list
-        of its old state (source; an unknown pair is in none) and joins the
-        end of that of the new one (target), both named by the table, as
-        is the trace tag. The support graph is touched only to append a
-        newly observed pair to its nodes; a pair removed while observed
-        keeps its arcs (see SupportGraph). The trace gets one entry, and
-        while search keeps a trail the trail gets the record that _unmove
-        undoes the move with."""
+        The move is looked up in steps, the step table of icsp.fd that its
+        caller names: PROP_STEPS by default, SEARCH_STEPS, which permits
+        more, for the removals a search decision makes (_bind, _revise, and
+        kac_fixpoint discarding a bound variable's late arrival). A move
+        that the table lacks raises before anything changes. The element
+        leaves the list of its old state (source; an unknown pair is in
+        none) and joins the end of that of the new one (target), both named
+        by the table, as is the trace tag. The support graph is touched
+        only to append a newly observed pair to its nodes; a pair removed
+        while observed keeps its arcs (see SupportGraph). The trace gets one
+        entry, and while search keeps a trail the trail gets the record
+        that _unmove undoes the move with."""
         old = var.states.get(element, UNKNOWN)
         try:
             source, target, tag = steps[old, new]
         except KeyError:
-            phase = "search" if steps is _SEARCH_STEPS else "prop"
+            phase = "search" if steps is SEARCH_STEPS else "prop"
             raise AssertionError(
                 f"illegal {phase} transition {old.value}->{new.value} "
                 f"for ({var.name},{element!r})"
@@ -609,7 +593,8 @@ class Engine:
         replay queues is recorded on one undo trail; a failed branch undoes
         the changes made since its node began. A search that finds no
         solution, and any other exception, from a verifier or a source,
-        leave label() through one restore to the trail's start, so the
+        leave label() through one restore to the trail's start, the only
+        one, made here and only when the trail holds a record, so the
         engine is back in the state the search started from; only the logs
         and the replay queues keep what happened. When a variable runs out
         of present values and its definition domain is still open, one more
@@ -626,33 +611,41 @@ class Engine:
                  if variables is not None else list(self.variables))
         if not self.solve():
             return None
-        self.isets.trail = []
+        self.isets.trail = trail = []
+        solution = None
         try:
-            return self._label(order)
-        except BaseException:
-            self._restore(0)
-            raise
+            solution = self._label(order)
+            return solution
         finally:
+            if solution is None and trail:
+                self._restore(0)
             self.isets.trail = None
 
     def _label(self, order: list) -> "dict | None":
         """The search loop, without recursion. It assigns the variables of
         order that are unbound at entry, each once, in order. The stack
         holds one (trail mark, values tried) frame per variable assigned so
-        far: the mark undoes that variable's binding, and the values are
-        the ones tried for it, kept to resume it when the search backtracks
-        into it. A variable left with no untried present value, and no
-        element to acquire, fails, and the search resumes the variable
-        before it. It takes the nodes, snapshots and restores of a
-        recursive depth-first search, in the same order."""
+        far: the mark undoes that variable's binding, and the count of
+        values tried for it resumes it when the search backtracks into it.
+        A variable left with no untried present value, and no element to
+        acquire, fails, and the search resumes the variable before it; when
+        the first one fails there is no solution, and label() undoes what
+        the trail still holds. It takes the nodes, snapshots and restores of
+        a recursive depth-first search, in the same order.
+
+        The values tried at a node are its first present values, so the
+        next is var.present[tried]. Between two tries the present list only
+        grows: a restore puts each removed value back at its index, and
+        propagation, which acquiring runs, appends present values and
+        removes none (see icsp.fd.PROP_STEPS)."""
         free = [v for v in {v.id: v for v in order}.values() if v.bound_to is None]
         stack: list = []
-        tried: set = set()  # the values tried for free[len(stack)]
+        tried = 0  # how many values free[len(stack)] has tried
         while len(stack) < len(free):
             var = free[len(stack)]
-            value = next((e for e in var.present if e not in tried), None)
-            if value is not None:
-                tried.add(value)
+            if tried < len(var.present):
+                value = var.present[tried]
+                tried += 1
                 mark = self._snapshot()
                 try:
                     self._bind(var, value)
@@ -660,7 +653,7 @@ class Engine:
                     self._restore(mark)
                     continue
                 stack.append((mark, tried))
-                tried = set()
+                tried = 0
                 continue
             if var.domain.open:
                 mark = self._snapshot()
@@ -671,8 +664,6 @@ class Engine:
                 except Inconsistency:
                     self._restore(mark)
             if not stack:
-                if self.isets.trail:  # what the first variable acquired
-                    self._restore(0)
                 return None
             mark, tried = stack.pop()
             self._restore(mark)
@@ -685,7 +676,7 @@ class Engine:
         # set event or acquisition behind: kac_fixpoint has work only when
         # a removal left a variable with no present value.
         for e in [e for e in var.present if e != value]:
-            self._move(var, e, REMOVED, _SEARCH_STEPS)
+            self._move(var, e, REMOVED, SEARCH_STEPS)
         self.isets.trail.append((setattr, var, "bound_to", var.bound_to))
         var.bound_to = value
         if self._revise(var):
@@ -759,7 +750,7 @@ class Engine:
                             continue
                         support = self._find_tuple(e, arc, pools)
                     if support is None:
-                        self._move(wvar, e, REMOVED, _SEARCH_STEPS)
+                        self._move(wvar, e, REMOVED, SEARCH_STEPS)
                         work.append(w)
                         emptied = emptied or not wvar.present
                     else:

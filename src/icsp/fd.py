@@ -9,13 +9,14 @@ tried again), candidates (waiting to be checked) and observed (under check
 now). The current domain is always the definition domain minus the
 removed values.
 
-Every (variable, element) pair moves through a small state machine; the
-transitions permitted during propagation are exactly the four listed in
-ALLOWED_TRANSITIONS, and the removals a search decision makes may also
-remove candidate and present values (SEARCH_TRANSITIONS). Every state but
-unknown names one of the variable's lists. The engine makes every move in
-one routine, which checks it against the table its caller names, moves
-the element from the list of its old state to that of its new one and
+Every (variable, element) pair moves through a small state machine,
+stated once in two step tables: PROP_STEPS holds the four moves
+propagation makes, and SEARCH_STEPS adds the removals a search decision
+makes of candidate and present values. Each step maps (old state, new
+state) to the variable's list that holds the element in the old state
+(None for unknown), the list it joins, and the move's trace tag. The
+engine makes every move in one routine, which looks the move up in the
+table its caller names, moves the element between those two lists and
 traces it. A pair's state and the list that holds its element therefore
 never disagree.
 """
@@ -44,19 +45,22 @@ class PairState(Enum):
 # The members by name: a module global is read faster than an Enum attribute.
 UNKNOWN, CANDIDATE, OBSERVED, PRESENT, REMOVED = PairState
 
-ALLOWED_TRANSITIONS = {
-    (UNKNOWN, CANDIDATE),    # element entered the definition domain
-    (CANDIDATE, OBSERVED),   # chosen as seed or as a supporter
-    (OBSERVED, PRESENT),     # graph flush
-    (OBSERVED, REMOVED),     # no support found
+# (old, new) -> (source list, target list, trace tag) for each move that
+# propagation makes.
+PROP_STEPS = {
+    (UNKNOWN, CANDIDATE): (None, "candidates", "CANDIDATE"),       # entered the domain
+    (CANDIDATE, OBSERVED): ("candidates", "observed", "OBSERVE"),  # seed or supporter
+    (OBSERVED, PRESENT): ("observed", "present", "PRESENT"),       # graph flush
+    (OBSERVED, REMOVED): ("observed", "removed", "REMOVE"),        # no support found
 }
 
-# Additional moves allowed only to the removals a search decision makes:
-# binding a variable, revising after it, and discarding a bound
-# variable's late arrival (see Engine._move).
-SEARCH_TRANSITIONS = {
-    (PRESENT, REMOVED),
-    (CANDIDATE, REMOVED),
+# Those and the removals a search decision makes: binding a variable,
+# revising after it, and discarding a bound variable's late arrival (see
+# Engine._move).
+SEARCH_STEPS = {
+    **PROP_STEPS,
+    (PRESENT, REMOVED): ("present", "removed", "REMOVE"),
+    (CANDIDATE, REMOVED): ("candidates", "removed", "REMOVE"),
 }
 
 
@@ -68,7 +72,7 @@ class FdVariable:
         # and its iset id (see Engine.new_fd_variable).
         self.domain = domain
         self.def_domain = domain.id
-        # One list per state but unknown, named after it: see engine._steps.
+        # One list per state but unknown, named in PROP_STEPS and SEARCH_STEPS.
         self.present: list = []
         self.removed: list = []
         self.candidates: deque = deque()

@@ -17,7 +17,9 @@ validating each id, and its handlers work on those records from then on
 
 Elements are ground scalars only: ints or lowercase-atom strings, exactly
 what parse_element yields. No variables, no nested sets, no bools, and
-never None, which marks a closure. Every public route by which an element
+never None, which marks a closure; nor the atom none, which reads as None
+(the trace writes an exhausted acquisition as none, and an interactive
+source reads it as exhaustion). Every public route by which an element
 enters a set checks it (see is_element).
 """
 
@@ -35,14 +37,15 @@ Element = _Union[int, str]
 # every number in a problem file (see icsp.cli and resolve_verifier).
 INT = r"-?[0-9]+"
 _INT_RE = re.compile(rf"{INT}\Z")
-# A lowercase atom: the text of an atom element, and of every name in a
-# problem file (see icsp.cli).
+# A lowercase atom: the text of every name in a problem file (see
+# icsp.cli), and of an atom element, which is any atom but none.
 ATOM = r"[a-z][a-z0-9_]*"
-_ATOM_RE = re.compile(rf"{ATOM}\Z")
+_ATOM_RE = re.compile(rf"(?!none\Z){ATOM}\Z")
 
 
 def parse_element(text: str) -> Element:
-    """Parse a signed ASCII integer (INT) or a bare lowercase atom."""
+    """Parse a signed ASCII integer (INT) or a bare lowercase atom other
+    than none."""
     text = text.strip()
     if _INT_RE.match(text):
         return int(text)
@@ -53,7 +56,7 @@ def parse_element(text: str) -> Element:
 
 def is_element(x) -> bool:
     """Whether x is an element: an int (not a bool) or a str matching the
-    atom pattern, the values parse_element yields."""
+    atom pattern other than none, the values parse_element yields."""
     return type(x) is int or (type(x) is str and _ATOM_RE.match(x) is not None)
 
 
@@ -276,11 +279,7 @@ class Difference(IsetConstraint):
         a, b, c = self.sets
         if iset == c.id:
             store._insert(a, element)
-            if element in b.known:
-                raise Inconsistency(
-                    f"{element!r} is in both {c.name} and {b.name} under difference"
-                )
-        if iset == b.id and element in c.known:
+        if (iset == c.id and element in b.known) or (iset == b.id and element in c.known):
             raise Inconsistency(
                 f"{element!r} is in both {c.name} and {b.name} under difference"
             )

@@ -10,8 +10,7 @@ failure is replayable from its seed.
 import random
 
 from icsp import Engine, Inconsistency, IsetStore, PairState, ScriptedSource, resolve_verifier
-from icsp.engine import _PROP_STEPS
-from icsp.fd import ALLOWED_TRANSITIONS
+from icsp.fd import PROP_STEPS
 from icsp.isets import Difference, Inclusion, Intersection, Member, Union
 from icsp.oracle import ClosedCsp, is_known_arc_consistent
 
@@ -49,7 +48,7 @@ class LoggedEngine(Engine):
         super().__init__()
         self.transitions = []
 
-    def _move(self, var, element, new, steps=_PROP_STEPS):
+    def _move(self, var, element, new, steps=PROP_STEPS):
         old = var.state(element)
         super()._move(var, element, new, steps)
         phase = "prop" if self.isets.trail is None and var.bound_to is None else "search"
@@ -149,11 +148,11 @@ def engine_state(engine):
 
 def audit_transitions(engine):
     """Every propagation-phase transition must be one of the four legal
-    moves. The engine must be a LoggedEngine: any other keeps no log, and
-    would pass any audit."""
+    moves, the keys of PROP_STEPS. The engine must be a LoggedEngine: any
+    other keeps no log, and would pass any audit."""
     assert isinstance(engine, LoggedEngine), "the engine keeps no transition log"
     bad = [t for t in engine.transitions
-           if t[4] == "prop" and (t[2], t[3]) not in ALLOWED_TRANSITIONS]
+           if t[4] == "prop" and (t[2], t[3]) not in PROP_STEPS]
     return bad
 
 

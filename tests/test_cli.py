@@ -320,6 +320,7 @@ _DECLS = "iset a open {}\niset b open {}\niset c open {}\nvar v :: a\n"
 PARSE_ERRORS = {
     "bad element in an iset": ("iset s open {1, Bad}", "bad element 'Bad'"),
     "non-ASCII digit in an iset": ("iset s open {\u0663}", "bad element '\u0663'"),
+    "the reserved atom none in an iset": ("iset s open {none}", "bad element 'none'"),
     "iset syntax": ("iset s maybe {}", "expected: iset <name> open|closed {e1,e2,...}"),
     "duplicate iset": ("iset a closed {}", "duplicate iset 'a'"),
     "var syntax": ("var w : a", "expected: var <name> :: <iset>"),
@@ -336,6 +337,7 @@ PARSE_ERRORS = {
     "member arity": ("isetc member 5", "expected: isetc member <e> <iset>"),
     "member element": ("isetc member Five a", "bad element 'Five'"),
     "member element with a comma": ("isetc member 1,2 a", "bad element '1,2'"),
+    "member of the reserved atom none": ("isetc member none a", "bad element 'none'"),
     "member element in full-width digits": ("isetc member \uff11 a", "bad element '\uff11'"),
     "member over an undefined iset": ("isetc member 5 d", "undefined iset 'd'"),
     "union arity": ("isetc union a b", "isetc union takes 3 iset names"),
@@ -354,6 +356,7 @@ PARSE_ERRORS = {
                       "'a' already has a source"),
     "script syntax": ("source a script 1,2", "expected: source <iset> script [e1,e2,...]"),
     "script element": ("source a script [1,X]", "bad element 'X'"),
+    "the reserved atom none in a script": ("source a script [none]", "bad element 'none'"),
     "range syntax": ("source a range 1...2", "expected: source <iset> range <lo>..<hi>"),
     "range bound in non-ASCII digits": ("source a range \u0661..2",
                                         "expected: source <iset> range <lo>..<hi>"),
@@ -371,6 +374,13 @@ def test_every_parse_error_names_its_line(tail, message):
     with pytest.raises(ProblemError) as raised:
         parse(text)
     assert str(raised.value) == f"line {text.count(chr(10))}: {message}"
+
+
+def test_none_may_name_an_iset_and_a_variable():
+    # Only as an element is the atom none reserved.
+    code, text = run_text("iset none closed {a}\nvar none :: none\n", trace=True)
+    assert code == 0
+    assert text.splitlines()[-2:] == ["RESULT consistent", "DOMAIN none present=[a] removed=[]"]
 
 
 def test_member_and_inclusion_directives_are_built_and_posted():

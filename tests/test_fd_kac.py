@@ -18,7 +18,7 @@ from instances import (
     golden_engine,
     pair_place_errors,
 )
-from icsp.engine import _SEARCH_STEPS
+from icsp.fd import SEARCH_STEPS
 from icsp.oracle import ClosedCsp, ac3
 
 
@@ -171,7 +171,7 @@ def test_every_move_follows_the_step_table_of_its_phase(phase, old, new):
     steps = ()
     if phase == "search":
         eng.isets.trail = []
-        steps = (_SEARCH_STEPS,)
+        steps = (SEARCH_STEPS,)
 
     def seen():
         return ({name: list(getattr(var, name)) for name in _LISTS.values()},
@@ -217,7 +217,7 @@ def test_a_move_takes_the_table_its_caller_names_not_the_phase_it_runs_in():
     assert (dict(var.states), list(var.present), list(var.removed),
             list(eng.trace)) == before
     assert eng.isets.trail == []
-    eng._move(var, 1, PairState.REMOVED, _SEARCH_STEPS)
+    eng._move(var, 1, PairState.REMOVED, SEARCH_STEPS)
     assert var.state(1) is PairState.REMOVED and var.present == [2]
     assert len(eng.isets.trail) == 1
     eng.isets.trail = None

@@ -158,7 +158,7 @@ class Replies(AcquisitionSource):
 def test_parse_element_reads_ascii_integers_and_atoms():
     assert [parse_element(t) for t in ("7", " -12 ", "007", "blue", "e1")] == \
         [7, -12, 7, "blue", "e1"]
-    for text in ("\u0663", "\uff11\uff12", "+1", "1_0", "1.0", "Abc", "a b", ""):
+    for text in ("\u0663", "\uff11\uff12", "+1", "1_0", "1.0", "Abc", "a b", "", "none"):
         with pytest.raises(ValueError, match="not an element"):
             parse_element(text)
 
@@ -172,7 +172,9 @@ ELEMENT_ROUTES = {
     "Member": (ValueError, lambda eng, bad: eng.post_iset_constraint(Member(bad, 0))),
     "source reply": (SourceContractError, lambda eng, bad: eng.acquire(1)),
 }
-NOT_ELEMENTS = [None, True, False, 1.0, 2.5, (1,), "Abc", "a b", [1]]
+# "none" is the atom the trace writes for an exhausted acquisition, so it
+# is reserved and no element.
+NOT_ELEMENTS = [None, True, False, 1.0, 2.5, (1,), "Abc", "a b", [1], "none"]
 
 
 @pytest.mark.parametrize("route, bad", [

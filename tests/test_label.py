@@ -3,10 +3,12 @@ the trail on backtracking, plus acquisition of extra elements at a search
 node."""
 
 import io
+import random
 
 import pytest
 
 from icsp import (
+    AcquisitionSource,
     Engine,
     Inclusion,
     InteractiveSource,
@@ -15,7 +17,16 @@ from icsp import (
     ScriptedSource,
 )
 
-from instances import LoggedEngine, engine_kac_holds, engine_state, pair_place_errors
+from icsp.oracle import build_engine
+
+from instances import (
+    LoggedEngine,
+    engine_kac_holds,
+    engine_state,
+    pair_place_errors,
+    random_closed_csp,
+    random_open_engine,
+)
 
 
 def gated_triangle(a_open=False, a_script=None):
@@ -200,6 +211,59 @@ def test_label_agrees_with_exhaustive_search():
                 assert fn([values[a], values[b]]), f"seed {seed}: bad solution"
 
 
+def record_visits(engine, var_ids):
+    """Wrap the engine's _bind. Each call is filed under the visit of its
+    variable's node that it belongs to, as (value, present list at the
+    call); a visit ends when a variable earlier in var_ids is bound.
+    Returns a function that lists the visits: those that ended, in the
+    order they ended, then those still open."""
+    position = {v: i for i, v in enumerate(dict.fromkeys(var_ids))}
+    open_visits: dict = {}  # position -> the tries of its current visit
+    ended = []
+    bind = engine._bind
+
+    def recorded(var, value):
+        p = position[var.id]
+        ended.extend(open_visits.pop(q) for q in sorted(open_visits) if q > p)
+        open_visits.setdefault(p, []).append((value, list(var.present)))
+        bind(var, value)
+
+    engine._bind = recorded
+    return lambda: ended + list(open_visits.values())
+
+
+def test_a_node_tries_its_present_values_in_list_order_without_repeat():
+    # label() keeps only the count of values a node has tried, and takes
+    # present[count] next. That is exact because the present list of a
+    # node only grows between its tries: every restore puts it back as it
+    # was, and an acquisition at the node appends. So the k-th value a
+    # visit binds is present[k], the list at each try extends the one at
+    # the try before, and no value repeats. Some visits acquire between
+    # two tries, so an appended value is tried too.
+    grown = visits = 0
+    for seed in range(2400):
+        if seed < 2000:
+            engine, var_ids = random_open_engine(random.Random(1_000_000 + seed))
+        else:
+            engine, ids = build_engine(random_closed_csp(random.Random(seed)))
+            var_ids = list(ids.values())
+        if not engine.solve():
+            continue
+        recorded = record_visits(engine, var_ids)
+        engine.label(var_ids)
+        for visit in recorded():
+            visits += 1
+            values = [value for value, _present in visit]
+            assert len(set(values)) == len(values), f"seed {seed}: {values}"
+            for k, (value, present) in enumerate(visit):
+                assert present[k] == value, f"seed {seed}"
+                if k:
+                    before = visit[k - 1][1]
+                    assert present[:len(before)] == before, f"seed {seed}"
+                    grown += len(present) > len(before)
+    assert visits > 1000 and grown >= 5
+
+
 def test_label_interrupted_by_a_raising_verifier_restores_its_entry_state():
     # x=1 is bound, x=2 removed, and then the verifier raises while y=1 is
     # revised. label() must restore the state it started from before the
@@ -234,6 +298,97 @@ def test_label_interrupted_by_a_raising_verifier_restores_its_entry_state():
     assert eng.solve() is True
     assert eng.variable(x).state(7) is PairState.PRESENT
     assert engine_kac_holds(eng)
+    assert pair_place_errors(eng) == []
+
+
+class Armed(Exception):
+    """What an armed verifier or source raises."""
+
+
+class RaisingSource(AcquisitionSource):
+    def next(self, iset, ctx):
+        raise Armed
+
+
+def recorded_restores(engine):
+    """Wrap the engine's trail restore: the returned list gets (mark,
+    records on the trail) for each call."""
+    calls = []
+    set_state = engine.isets.set_state
+
+    def recorded(mark):
+        calls.append((mark, len(engine.isets.trail)))
+        set_state(mark)
+
+    engine.isets.set_state = recorded
+    return calls
+
+
+def before_a_triangle(source=None, open=True):
+    """a over {0}, open unless told otherwise, with the given source, then
+    an ne triangle y, z, w over closed {1, 2}, which has no solution
+    whatever a is."""
+    eng = Engine()
+    da = eng.new_iset([0], open=open, name="da")
+    if source is not None:
+        eng.register_source(da, source)
+    eng.new_fd_variable(da, name="a")
+    dom = eng.new_iset([1, 2], open=False, name="d")
+    y, z, w = (eng.new_fd_variable(dom, name=n) for n in "yzw")
+    for p, q in ((y, z), (z, w), (y, w)):
+        eng.post_fd_constraint("ne", [p, q])
+    return eng
+
+
+def raising_verifier():
+    # The verifier raises while y is revised after x = 1 is bound.
+    eng = Engine()
+    x = eng.new_fd_variable(eng.new_iset([1, 2], open=False, name="dx"), name="x")
+    y = eng.new_fd_variable(eng.new_iset([1, 2], open=False, name="dy"), name="y")
+    bound = []
+
+    def ne(values):
+        if bound:
+            raise Armed
+        return values[0] != values[1]
+
+    eng.post_fd_constraint("ne", [x, y], ne)
+    eng._bind = lambda var, value, bind=eng._bind: bound.append(var) or bind(var, value)
+    return eng
+
+
+@pytest.mark.parametrize("build, raised, to_start", [
+    # a = 0 fails and is restored, and so does the node's acquisition,
+    # exhaustion, which the trail still holds when the search gives up.
+    (lambda: before_a_triangle(ScriptedSource([])), None, 2),
+    # a = 0 fails and is restored, and the trail holds nothing.
+    (lambda: before_a_triangle(open=False), None, 1),
+    (raising_verifier, Armed, 1),
+    # a = 0 fails and is restored; the node's first acquisition then
+    # raises, before the trail holds anything.
+    (lambda: before_a_triangle(RaisingSource()), Armed, 1),
+], ids=["no solution, acquired", "no solution, closed", "raising verifier",
+        "raising source"])
+def test_label_restores_to_the_start_once_and_only_a_trail_that_holds_a_record(
+        build, raised, to_start):
+    # The first node restores each failed try to mark 0 itself. When the
+    # search finds no solution or raises, label() restores to mark 0 once
+    # more if the trail holds a record, and not at all if it holds
+    # nothing. Either way no restore finds the trail empty, and the engine
+    # is left as the search found it.
+    eng = build()
+    assert eng.solve() is True
+    before = engine_state(eng)
+    restores = recorded_restores(eng)
+    if raised is None:
+        assert eng.label() is None
+    else:
+        with pytest.raises(raised):
+            eng.label()
+    assert [mark for mark, _records in restores if mark == 0] == [0] * to_start
+    assert all(records for _mark, records in restores)
+    assert eng.isets.trail is None
+    assert engine_state(eng) == before
     assert pair_place_errors(eng) == []
 
 

@@ -37,6 +37,7 @@ def test_reports_the_statements_a_run_never_reached(tmp_path):
     path = tmp_path / "pkg" / "mod.py"
     path.write_text(SOURCE, encoding="utf-8")
     (tmp_path / "pkg" / "empty.py").write_text("x = 1\n", encoding="utf-8")
+    (tmp_path / "pkg" / "__main__.py").write_text("y = 2\n", encoding="utf-8")
     spec = importlib.util.spec_from_file_location("mod", path)
     module = importlib.util.module_from_spec(spec)
 
@@ -56,10 +57,13 @@ def test_reports_the_statements_a_run_never_reached(tmp_path):
     assert restored is outer
     assert result == 1
     out = io.StringIO()
+    # __main__.py's line is listed but not counted: only python -m runs it.
     assert line_coverage.report(tmp_path, executed, out) == 3
-    assert out.getvalue() == ("pkg/empty.py\n"
+    assert out.getvalue() == ("pkg/__main__.py\n"
+                              "      1 y = 2\n"
+                              "pkg/empty.py\n"
                               "      1 x = 1\n"
                               "pkg/mod.py\n"
                               "      7 return -1\n"
                               "     15 pass\n"
-                              "3 statement lines never ran\n")
+                              "4 statement lines never ran\n")

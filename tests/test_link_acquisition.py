@@ -221,6 +221,19 @@ def test_repeat_violation_is_not_swallowed_by_solve():
         eng2.solve()
 
 
+def test_a_scripted_none_atom_breaks_the_contract_and_is_no_exhaustion():
+    # The trace writes exhaustion as "ACQUIRE d -> none"; a reply of the
+    # atom would read the same, so it is no element.
+    eng = Engine()
+    d = eng.new_iset(name="d")
+    eng.new_fd_variable(d, name="x")
+    eng.register_source(d, ScriptedSource(["none"]))
+    with pytest.raises(SourceContractError, match="replied 'none', which is not an element"):
+        eng.solve()
+    assert eng.acquisitions == [] and eng.trace == []
+    assert eng.isets.known_in_order(d) == [] and not eng.isets.is_closed(d)
+
+
 def test_acquisition_log_records_every_call():
     eng = Engine()
     d = eng.new_iset(name="d")

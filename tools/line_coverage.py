@@ -8,7 +8,9 @@ src/icsp, so the rest of the suite, and every subprocess a test starts,
 runs untraced. Then, module by module in path order, each statement
 that never ran is printed as its first line, `<line number> <text>`, and
 at the end the total. Docstrings are not statements here. The exit code
-is pytest's. Stdlib plus pytest.
+is pytest's, or 1 when the tests pass but a module other than a
+__main__.py has a statement that never ran: a __main__.py runs only as
+`python -m`, in a subprocess the hook does not see. Stdlib plus pytest.
 """
 
 from __future__ import annotations
@@ -62,10 +64,10 @@ def tracing(directory: Path):
 
 def report(directory: Path, executed: dict, out=None) -> int:
     """Print each module's statement lines that never ran, then the total,
-    and return the total."""
+    and return how many of them lie outside __main__.py modules."""
     out = out if out is not None else sys.stdout
     directory = Path(directory).resolve()
-    total = 0
+    total = dead = 0
     for path in sorted(directory.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
         missing = sorted(statement_lines(source) - executed.get(str(path), set()))
@@ -74,8 +76,10 @@ def report(directory: Path, executed: dict, out=None) -> int:
             out.write(f"{path.relative_to(directory)}\n")
             out.writelines(f"  {n:5d} {text[n - 1].strip()}\n" for n in missing)
         total += len(missing)
+        if path.name != "__main__.py":
+            dead += len(missing)
     out.write(f"{total} statement lines never ran\n")
-    return total
+    return dead
 
 
 def main() -> int:
@@ -84,8 +88,8 @@ def main() -> int:
     sys.path.insert(0, str(SOURCE.parent))
     with tracing(SOURCE) as executed:
         code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
-    report(SOURCE, executed)
-    return int(code)
+    dead = report(SOURCE, executed)
+    return int(code) or int(dead > 0)
 
 
 if __name__ == "__main__":
